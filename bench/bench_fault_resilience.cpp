@@ -63,7 +63,9 @@ int run_bench(const BenchOptions& opts) {
         WorkloadBank bank;
         bank.name = traces[w].name;
         bank.stream = &traces[w].split->ifetch;
-        bank.stats = measure_config_bank(cfgs, *bank.stream, timing);
+        BankAccumulator acc(cfgs, timing);
+        acc.feed(pack_stream(*bank.stream));
+        bank.stats = acc.stats();
         runner.add_accesses(bank.stream->size() * cfgs.size());
         return bank;
       },

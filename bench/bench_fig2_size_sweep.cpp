@@ -21,7 +21,8 @@ int run() {
                       "Figure 2");
 
   ParserLikeParams params;  // 256 KB dictionary working set
-  const Trace trace = gen_parser_like(params);
+  const std::vector<std::uint32_t> packed =
+      pack_stream(gen_parser_like(params));
   const EnergyModel model;
 
   Table table({"cache size", "miss rate", "cache (on-chip)", "off-chip memory",
@@ -31,7 +32,9 @@ int run() {
   std::uint32_t best_size = 0;
   for (std::uint32_t size = 1024; size <= (1u << 20); size *= 2) {
     const CacheGeometry g{size, 1, 32};
-    const CacheStats stats = measure_geometry(g, trace);
+    BankAccumulator bank(std::span<const CacheGeometry>(&g, 1));
+    bank.feed(packed);
+    const CacheStats stats = bank.stats().front();
     const EnergyBreakdown e = model.evaluate_generic(g, stats);
     table.add_row({std::to_string(size / 1024) + "KB",
                    fmt_percent(stats.miss_rate(), 2),

@@ -72,7 +72,10 @@ BENCHMARK(BM_Assemble)->Unit(benchmark::kMillisecond);
 void BM_TraceReplay(benchmark::State& state) {
   static const Trace trace = capture_trace(find_workload("crc"));
   for (auto _ : state) {
-    const CacheStats s = measure_config(base_cache(), trace);
+    const CacheConfig cfg = base_cache();
+    BankAccumulator bank(std::span<const CacheConfig>(&cfg, 1));
+    bank.feed(pack_stream(trace));
+    const CacheStats s = bank.stats().front();
     benchmark::DoNotOptimize(s.misses);
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(trace.size()));

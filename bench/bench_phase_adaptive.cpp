@@ -2,9 +2,7 @@
 //
 // Usage: bench_phase_adaptive [--reps N] [--out file.json] [--scale N]
 //                             [common sweep flags: --jobs N --sweep-jobs N
-//                              --metrics-out file.json
-//                              --engine reference|fast|oneshot
-//                              --pipeline streaming|materialized]
+//                              --metrics-out file.json]
 //
 // The paper tunes once per application (Fig. 6); Section 1 lists "whenever
 // a program phase change is detected" as a deployment mode. This harness
@@ -25,12 +23,12 @@
 // Energy for a policy is the sum over its per-phase spans of the chosen
 // configuration's Equation-1 energy on that span, so all four totals
 // cover the identical words and compare directly. Bank stats are
-// bit-identical across engines and --sweep-jobs, so the tables on stdout
-// are byte-identical across both (repro.sh cmp-gates the timeline through
+// bit-identical across --sweep-jobs values, so the tables on stdout are
+// byte-identical across them (repro.sh cmp-gates the timeline through
 // stcache_tune --phases).
 //
 // The classifier-overhead section times the streaming full-space sweep
-// pipeline (27-config oneshot bank fed chunk by chunk) with and without
+// pipeline (27-config bank fed chunk by chunk) with and without
 // the classifier attached, best of --reps per scenario, and reports the
 // paired slowdown. The classifier shares the pipeline's memory traffic,
 // so its marginal cost is compute only — the PR gate is overhead <= 5%
@@ -118,14 +116,14 @@ OverheadSample time_overhead(std::span<const CacheConfig> configs,
   for (unsigned r = 0; r < reps; ++r) {
     const auto t0 = std::chrono::steady_clock::now();
     {
-      BankAccumulator bank(configs, {}, ReplayEngine::kOneshot, 1);
+      BankAccumulator bank(configs, {}, 1);
       for (std::size_t i = 0; i < words.size(); i += kChunk)
         bank.feed(words.subspan(i, std::min(kChunk, words.size() - i)));
       if (bank.stats().size() != configs.size()) fail("bank dropped configs");
     }
     const auto t1 = std::chrono::steady_clock::now();
     {
-      BankAccumulator bank(configs, {}, ReplayEngine::kOneshot, 1);
+      BankAccumulator bank(configs, {}, 1);
       PhaseClassifier cls({});
       for (std::size_t i = 0; i < words.size(); i += kChunk) {
         const auto chunk = words.subspan(i, std::min(kChunk, words.size() - i));

@@ -1,5 +1,7 @@
 // bench_replay_throughput — differential throughput of the three replay
-// engines on the exhaustive 27-configuration bank sweep, of the two
+// kernels on the exhaustive 27-configuration bank sweep (the reference
+// ConfigurableCache, the per-configuration FastCacheSim, and the
+// BankAccumulator's single-pass "oneshot" stack sweep), of the two
 // interpreters on trace capture, and of the streaming pipeline against the
 // capture-to-disk round trip.
 //
@@ -8,10 +10,10 @@
 //
 // Replay section: for each workload, the 27 legal configurations are
 // grouped into specialization classes by (ways, way prediction) — 1W:9,
-// 2W:6, 2W_P:6, 4W:3, 4W_P:3 — and each class's bank sweep is timed under
-// all three engines (best of --reps runs; default 3). The exhaustive row
+// 2W:6, 2W_P:6, 4W:3, 4W_P:3 — and each class's bank sweep is timed with
+// all three kernels (best of --reps runs; default 3). The exhaustive row
 // ("all") is timed DIRECTLY as one 27-configuration bank, not summed from
-// the class rows: the oneshot engine shares one stack-distance traversal
+// the class rows: the oneshot sweep shares one stack-distance traversal
 // per line size across every specialization class, so a class-major sum
 // would charge it three traversals per class and understate the sharing.
 // The stream is captured AND packed once per workload, outside the timed
@@ -30,7 +32,7 @@
 // gated by scripts/bench_check.py).
 //
 // Parallel section: the exhaustive oneshot sweep with the set-partitioned
-// parallel engine (--sweep-jobs) at jobs = min(cpus, 32) against serial,
+// parallel sweep (--sweep-jobs) at jobs = min(cpus, 32) against serial,
 // reporting the aggregate simulated records/second. bench_check.py arms
 // the aggregate floor only when the snapshot reports cpus >= 2 — one core
 // cannot outrun itself, and the merge is bit-identical either way.
@@ -67,6 +69,8 @@
 #include <thread>
 #include <vector>
 
+#include "cache/configurable_cache.hpp"
+#include "cache/fast_cache.hpp"
 #include "cache/stack_sweep.hpp"
 #include "isa/assembler.hpp"
 #include "sim/cpu.hpp"
@@ -94,25 +98,70 @@ std::string class_name(const CacheConfig& cfg) {
   return s;
 }
 
-// Seconds per bank sweep over an already-packed stream, best of `reps`:
-// bank construction + feed + stats. Every engine consumes the same packed
-// words through a BankAccumulator, so the rows compare replay kernels, not
-// the shared pack pass (hoisted to the caller, outside all timing).
-double time_bank(const std::vector<CacheConfig>& configs,
-                 std::span<const std::uint32_t> packed, ReplayEngine engine,
-                 unsigned reps) {
+template <typename F>
+double best_of(unsigned reps, F&& body) {
   double best = 0.0;
   for (unsigned r = 0; r < reps; ++r) {
     const auto start = std::chrono::steady_clock::now();
-    BankAccumulator bank(configs, {}, engine);
-    bank.feed(packed);
-    const std::vector<CacheStats> stats = bank.stats();
+    body();
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
-    if (stats.size() != configs.size()) fail("bank sweep dropped configs");
     if (r == 0 || elapsed.count() < best) best = elapsed.count();
   }
   return best;
+}
+
+// The three bank sweeps over an already-packed stream. The reference
+// interleaves every ConfigurableCache over one pass of the words (block
+// << 4 restores a 16 B-aligned address, which no 16 B-or-wider geometry
+// distinguishes from the original); the fast sweep replays one FastCacheSim
+// per configuration; the oneshot sweep is the production BankAccumulator.
+std::vector<CacheStats> reference_bank(const std::vector<CacheConfig>& configs,
+                                       std::span<const std::uint32_t> packed) {
+  std::vector<ConfigurableCache> bank;
+  bank.reserve(configs.size());
+  for (const CacheConfig& cfg : configs) bank.emplace_back(cfg);
+  for (const std::uint32_t word : packed) {
+    const std::uint32_t addr = (word & FastCacheSim::kPackedBlockMask) << 4;
+    const bool write = (word & FastCacheSim::kPackedWriteBit) != 0;
+    for (ConfigurableCache& cache : bank) cache.access(addr, write);
+  }
+  std::vector<CacheStats> stats;
+  for (const ConfigurableCache& cache : bank) stats.push_back(cache.stats());
+  return stats;
+}
+
+std::vector<CacheStats> fast_bank(const std::vector<CacheConfig>& configs,
+                                  std::span<const std::uint32_t> packed) {
+  std::vector<FastCacheSim> bank(configs.begin(), configs.end());
+  std::vector<CacheStats> stats;
+  for (FastCacheSim& sim : bank) {
+    sim.replay(packed);
+    stats.push_back(sim.stats());
+  }
+  return stats;
+}
+
+std::vector<CacheStats> oneshot_bank(const std::vector<CacheConfig>& configs,
+                                     std::span<const std::uint32_t> packed) {
+  BankAccumulator bank(configs);
+  bank.feed(packed);
+  return bank.stats();
+}
+
+// Seconds per bank sweep, best of `reps`: construction + replay + stats.
+// Every kernel consumes the same packed words, so the rows compare replay
+// kernels, not the shared pack pass (hoisted to the caller, outside all
+// timing).
+template <typename Sweep>
+double time_bank(const std::vector<CacheConfig>& configs,
+                 std::span<const std::uint32_t> packed, unsigned reps,
+                 Sweep&& sweep) {
+  return best_of(reps, [&] {
+    if (sweep(configs, packed).size() != configs.size()) {
+      fail("bank sweep dropped configs");
+    }
+  });
 }
 
 std::string fmt(double v) {
@@ -121,7 +170,7 @@ std::string fmt(double v) {
   return buf;
 }
 
-// One timed sweep under each engine plus its JSON fragment.
+// One timed sweep per kernel.
 struct EngineTimes {
   double ref = 0.0, fast = 0.0, oneshot = 0.0;
 };
@@ -130,16 +179,16 @@ EngineTimes time_all_engines(const std::vector<CacheConfig>& configs,
                              std::span<const std::uint32_t> packed,
                              unsigned reps) {
   EngineTimes t;
-  t.ref = time_bank(configs, packed, ReplayEngine::kReference, reps);
-  t.fast = time_bank(configs, packed, ReplayEngine::kFast, reps);
-  t.oneshot = time_bank(configs, packed, ReplayEngine::kOneshot, reps);
+  t.ref = time_bank(configs, packed, reps, reference_bank);
+  t.fast = time_bank(configs, packed, reps, fast_bank);
+  t.oneshot = time_bank(configs, packed, reps, oneshot_bank);
   return t;
 }
 
 // --- SIMD oneshot kernel: scalar vs AVX2 ------------------------------------
 
 // The 27 configurations grouped by line size — the three stack-distance
-// traversals the oneshot engine actually runs for an exhaustive sweep.
+// traversals the BankAccumulator actually runs for an exhaustive sweep.
 std::vector<std::vector<CacheConfig>> line_size_groups() {
   std::vector<std::vector<CacheConfig>> groups;
   for (const LineBytes line : kLineSizes) {
@@ -190,7 +239,7 @@ double time_parallel_bank(const std::vector<CacheConfig>& configs,
                           unsigned reps) {
   double best = 0.0;
   for (unsigned r = 0; r < reps; ++r) {
-    BankAccumulator bank(configs, {}, ReplayEngine::kOneshot, jobs);
+    BankAccumulator bank(configs, {}, jobs);
     const auto start = std::chrono::steady_clock::now();
     bank.feed(packed);
     const std::vector<CacheStats> stats = bank.stats();
@@ -208,19 +257,6 @@ std::string json_rates(const EngineTimes& t, double recs) {
          ", \"oneshot_records_per_second\": " + fmt(recs / t.oneshot) +
          ", \"fast_speedup\": " + fmt(t.ref / t.fast) +
          ", \"oneshot_speedup\": " + fmt(t.fast / t.oneshot);
-}
-
-template <typename F>
-double best_of(unsigned reps, F&& body) {
-  double best = 0.0;
-  for (unsigned r = 0; r < reps; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    body();
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    if (r == 0 || elapsed.count() < best) best = elapsed.count();
-  }
-  return best;
 }
 
 // --- capture throughput ------------------------------------------------------
@@ -316,8 +352,6 @@ int run(int argc, char** argv) {
       return 2;
     }
   }
-  std::cerr
-      << "[replay] engine=reference+fast+oneshot (differential throughput)\n";
 
   // Group the 27 configurations by specialization class, preserving
   // registry order inside each class.

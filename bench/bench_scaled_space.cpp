@@ -3,9 +3,7 @@
 //
 // Usage: bench_scaled_space [--reps N] [--out file.json]
 //                           [common sweep flags: --jobs N --sweep-jobs N
-//                            --metrics-out file.json
-//                            --engine reference|fast|oneshot
-//                            --pipeline streaming|materialized]
+//                            --metrics-out file.json]
 //
 // Accuracy section: the 27-point platform space of the paper is small
 // enough that greedy search rarely strays far. Does the heuristic stay
@@ -14,22 +12,21 @@
 // stream and report, per space: evaluations used, how often the heuristic
 // finds the optimum, and the distribution of its energy gap. The
 // exhaustive baseline is measured as one bank pass per stream
-// (tune_scaled_exhaustive -> ScaledEvaluator::prime), which under the
-// oneshot engine covers each line-size family with a single generalized
-// nested stack-distance traversal (NestedSweepSim); --engine selects the
-// engine, --sweep-jobs shards each traversal by set partition (the bank
-// reports [sweep] shard imbalance on stderr, exactly as the platform
-// sweep does). Accuracy tables are byte-identical across engines and
+// (tune_scaled_exhaustive -> ScaledEvaluator::prime), which covers each
+// line-size family with a single generalized nested stack-distance
+// traversal (NestedSweepSim); --sweep-jobs shards each traversal by set
+// partition (the bank reports [sweep] shard imbalance on stderr, exactly
+// as the platform sweep does). Accuracy tables are byte-identical across
 // shard counts.
 //
 // Throughput section: for each workload and stream, the full 64-config
 // embedded_32k sweep timed under (a) the generalized oneshot bank — one
-// traversal per line-size family — and (b) the per-config fast engine
-// (FastGeomSim per geometry), best of --reps, equality-asserted before
-// timing. The per-workload oneshot/fast speedup is a PR acceptance
-// metric (>= 5x on >= 2 workloads, gated by scripts/bench_check.py via
-// the --out JSON, default BENCH_scaled.json; the committed snapshot at
-// the repo root is from the container this repo is developed in).
+// traversal per line-size family — and (b) one FastGeomSim per geometry,
+// best of --reps, equality-asserted before timing. The per-workload
+// oneshot/fast speedup is an acceptance metric (>= 5x on >= 2 workloads,
+// gated by scripts/bench_check.py via the --out JSON, default
+// BENCH_scaled.json; the committed snapshot at the repo root is the
+// baseline it compares against).
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -37,6 +34,7 @@
 #include <span>
 
 #include "common.hpp"
+#include "cache/nested_sweep.hpp"
 #include "core/scaled_space.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -52,7 +50,7 @@ void run_space(const char* label, const ScaledSpace& space,
 
   // One sweep job per (workload, stream): the job tunes heuristically and
   // exhaustively on its own memoized evaluator (the exhaustive pass primes
-  // the whole space through one measure_geometry_bank call). Results come
+  // the whole space through one bank pass). Results come
   // back keyed by index, so the reduction below runs in the serial
   // program's order.
   const std::vector<std::string> names = bench::workload_names();
@@ -99,7 +97,7 @@ void run_space(const char* label, const ScaledSpace& space,
             << fmt_percent(gaps.max(), 1) << "\n";
 }
 
-// --- throughput: generalized oneshot bank vs per-config fast engine ---------
+// --- throughput: generalized oneshot bank vs per-config fast sims ---------
 
 std::string fmt(double v) {
   char buf[32];
@@ -107,18 +105,35 @@ std::string fmt(double v) {
   return buf;
 }
 
-// Seconds for one full-space sweep of an already-packed stream under
-// `engine`, best of `reps`: bank construction + feed + stats, serial
-// (sweep_jobs = 1) so the ratio compares engines, not thread counts.
+// The two sweeps of a packed stream over a geometry list: the production
+// bank (serial, so the ratio compares kernels, not thread counts) and one
+// FastGeomSim per geometry.
+std::vector<CacheStats> oneshot_sweep(std::span<const CacheGeometry> geoms,
+                                      std::span<const std::uint32_t> packed) {
+  return measure_geometry_bank(geoms, packed, {}, 1);
+}
+
+std::vector<CacheStats> fast_sweep(std::span<const CacheGeometry> geoms,
+                                   std::span<const std::uint32_t> packed) {
+  std::vector<FastGeomSim> sims(geoms.begin(), geoms.end());
+  std::vector<CacheStats> stats;
+  for (FastGeomSim& sim : sims) {
+    sim.replay(packed);
+    stats.push_back(sim.stats());
+  }
+  return stats;
+}
+
+// Seconds for one full-space sweep, best of `reps`: construction + replay
+// + stats.
+template <typename Sweep>
 double time_space_bank(std::span<const CacheGeometry> geoms,
-                       std::span<const std::uint32_t> packed,
-                       ReplayEngine engine, unsigned reps) {
+                       std::span<const std::uint32_t> packed, unsigned reps,
+                       Sweep&& sweep) {
   double best = 0.0;
   for (unsigned r = 0; r < reps; ++r) {
     const auto start = std::chrono::steady_clock::now();
-    BankAccumulator bank(geoms, {}, engine, 1);
-    bank.feed(packed);
-    const std::vector<CacheStats> stats = bank.stats();
+    const std::vector<CacheStats> stats = sweep(geoms, packed);
     const std::chrono::duration<double> elapsed =
         std::chrono::steady_clock::now() - start;
     if (stats.size() != geoms.size()) fail("scaled bank dropped configs");
@@ -127,18 +142,15 @@ double time_space_bank(std::span<const CacheGeometry> geoms,
   return best;
 }
 
-void check_engines_agree(std::span<const CacheGeometry> geoms,
-                         std::span<const std::uint32_t> packed,
-                         const std::string& where) {
-  const std::vector<CacheStats> a =
-      measure_geometry_bank(geoms, packed, {}, ReplayEngine::kOneshot, 1);
-  const std::vector<CacheStats> b =
-      measure_geometry_bank(geoms, packed, {}, ReplayEngine::kFast, 1);
+// The two timed sweeps must agree before their rates mean anything.
+void check_sweeps_agree(std::span<const CacheGeometry> geoms,
+                        std::span<const std::uint32_t> packed,
+                        const std::string& where) {
+  const std::vector<CacheStats> a = oneshot_sweep(geoms, packed);
+  const std::vector<CacheStats> b = fast_sweep(geoms, packed);
   for (std::size_t i = 0; i < geoms.size(); ++i) {
-    if (a[i].hits != b[i].hits || a[i].misses != b[i].misses ||
-        a[i].writeback_bytes != b[i].writeback_bytes ||
-        a[i].fill_bytes != b[i].fill_bytes || a[i].cycles != b[i].cycles) {
-      fail("scaled sweep engines disagree on " + where + " at " +
+    if (a[i] != b[i]) {
+      fail("scaled sweeps disagree on " + where + " at " +
            geometry_name(geoms[i]));
     }
   }
@@ -200,11 +212,11 @@ int run(int argc, char** argv) {
       pack_stream(stream, packed);
       const std::string where =
           workload_set[wi] + (instruction ? " I" : " D");
-      check_engines_agree(space.configs(), packed, where);
+      check_sweeps_agree(space.configs(), packed, where);
       const double fast_s =
-          time_space_bank(space.configs(), packed, ReplayEngine::kFast, reps);
-      const double oneshot_s = time_space_bank(space.configs(), packed,
-                                               ReplayEngine::kOneshot, reps);
+          time_space_bank(space.configs(), packed, reps, fast_sweep);
+      const double oneshot_s =
+          time_space_bank(space.configs(), packed, reps, oneshot_sweep);
       const double recs = static_cast<double>(packed.size()) *
                           static_cast<double>(space.total_configs());
       tp_table.add_row({workload_set[wi], instruction ? "I" : "D",
@@ -231,10 +243,10 @@ int run(int argc, char** argv) {
             (wi + 1 < workload_set.size() ? ",\n" : "\n");
   }
   // Measured rates are wall-clock, so they go to stderr: stdout must stay
-  // byte-identical across --jobs/--engine (the ✦ cmp contract). The JSON
+  // byte-identical across --jobs/--sweep-jobs (the ✦ cmp contract). The JSON
   // snapshot in --out carries the same numbers for bench_check.py.
   const double recs_d = static_cast<double>(total_records);
-  std::cerr << "\n--- generalized oneshot sweep vs per-config fast engine "
+  std::cerr << "\n--- generalized oneshot sweep vs per-config fast sims "
             << "(embedded_32k, " << space.total_configs()
             << " configs) ---\n";
   tp_table.print(std::cerr);

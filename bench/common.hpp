@@ -23,6 +23,7 @@
 #include "trace/stream.hpp"
 #include "trace/trace.hpp"
 #include "util/metrics.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workloads/workload.hpp"
 
@@ -80,68 +81,47 @@ inline void print_header(const std::string& title, const std::string& paper_ref)
 
 // --- sweep CLI --------------------------------------------------------------
 
-inline ReplayEngine checked_engine(const char* prog, const std::string& name) {
-  try {
-    return parse_replay_engine(name);
-  } catch (const std::exception& e) {
-    std::cerr << prog << ": " << e.what() << "\n";
-    std::exit(2);
-  }
-}
-
 struct BenchOptions {
   SweepOptions sweep;       // --jobs N (0 = hardware_concurrency)
   std::string metrics_out;  // --metrics-out PATH (JSON)
-  ReplayEngine engine = ReplayEngine::kOneshot;  // --engine reference|fast|oneshot
-  bool streaming = true;    // --pipeline streaming|materialized
   unsigned sweep_jobs = 0;  // --sweep-jobs N (0 = keep the process default)
 };
 
-// Parse the common sweep flags; exits with usage on anything unknown.
-// Installs the chosen replay engine as the process default and reports it
-// on stderr so every figure run is attributable to an engine (stdout stays
-// byte-identical across engines — that is what the equivalence suite
-// proves). Benches are measurement binaries, so the informational
-// [sim]/[trace_io]/[replay] stderr metrics stay on by default here (tools
-// default them off; see util/metrics.hpp).
+// Parse the common sweep flags; exits with usage on anything unknown and
+// with status 2 on a malformed number (--jobs 0..4096, --sweep-jobs
+// 1..32). Benches are measurement binaries, so the informational
+// [sim]/[trace_io] stderr metrics stay on by default here (tools default
+// them off; see util/metrics.hpp).
 inline BenchOptions parse_bench_args(int argc, char** argv) {
   set_metrics_enabled(true);
   BenchOptions opts;
+  const auto value = [&](int& i, std::uint64_t min_value,
+                         std::uint64_t max_value) {
+    std::uint64_t v = 0;
+    if (!parse_flag_u64(argv[i], argv[i + 1], min_value, max_value, v)) {
+      std::exit(2);
+    }
+    ++i;
+    return static_cast<unsigned>(v);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      opts.sweep.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+      opts.sweep.jobs = value(i, 0, 4096);
     } else if (arg == "--sweep-jobs" && i + 1 < argc) {
-      // Intra-bank shard count for the oneshot sweep (set-partitioned,
-      // exact merge — stdout stays byte-identical). Composes with the
+      // Intra-bank shard count for the sweep (set-partitioned, exact
+      // merge — stdout stays byte-identical). Composes with the
       // workload-level --jobs pool: total threads ~= jobs * sweep-jobs.
-      opts.sweep_jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+      opts.sweep_jobs = value(i, 1, 32);
     } else if (arg == "--metrics-out" && i + 1 < argc) {
       opts.metrics_out = argv[++i];
-    } else if (arg == "--engine" && i + 1 < argc) {
-      opts.engine = checked_engine(argv[0], argv[++i]);
-    } else if (arg.rfind("--engine=", 0) == 0) {
-      opts.engine = checked_engine(argv[0], arg.substr(9));
-    } else if (arg == "--pipeline" && i + 1 < argc) {
-      const std::string p = argv[++i];
-      if (p == "streaming") opts.streaming = true;
-      else if (p == "materialized") opts.streaming = false;
-      else {
-        std::cerr << argv[0] << ": unknown pipeline '" << p
-                  << "' (expected streaming|materialized)\n";
-        std::exit(2);
-      }
     } else {
       std::cerr << "usage: " << argv[0]
-                << " [--jobs N] [--sweep-jobs N] [--metrics-out file.json]"
-                << " [--engine reference|fast|oneshot]"
-                << " [--pipeline streaming|materialized]\n";
+                << " [--jobs N] [--sweep-jobs N] [--metrics-out file.json]\n";
       std::exit(2);
     }
   }
-  set_default_replay_engine(opts.engine);
   if (opts.sweep_jobs != 0) set_default_sweep_jobs(opts.sweep_jobs);
-  std::cerr << "[replay] engine=" << to_string(default_replay_engine()) << "\n";
   return opts;
 }
 
@@ -182,17 +162,14 @@ inline std::vector<const Workload*> ordered_workloads() {
 // fetch energy).
 //
 // The (workload x configuration) grid is evaluated by a SweepRunner with
-// one BANK job per workload. Each job captures its workload with the fast
+// one BANK job per workload. Each job streams its workload from the fast
 // interpreter directly in packed form — no TraceRecord AoS, no disk — and
-// folds it through a BankAccumulator, which under the oneshot engine
-// covers a whole line-size group in a single stack-distance traversal.
-// Under --pipeline streaming (the default) the capture thread overlaps the
-// sweep chunk by chunk; --pipeline materialized captures first and sweeps
-// after. The averages are then reduced serially in workload-major
-// (name-sorted) order, so the table is byte-identical for any --jobs
-// value, any --engine, and either pipeline (per-cell stats are
-// engine-invariant by the equivalence suite; chunked and one-shot feeding
-// are bit-identical by construction).
+// folds each chunk, as the capture thread produces it, into a
+// BankAccumulator that covers a whole line-size group in a single
+// stack-distance traversal. The averages are then reduced serially in
+// workload-major (name-sorted) order, so the table is byte-identical for
+// any --jobs and --sweep-jobs value (chunked and one-shot feeding are
+// bit-identical by construction).
 inline int run_config_space_figure(bool instruction_stream,
                                    const BenchOptions& opts) {
   const char* which = instruction_stream ? "instruction" : "data";
@@ -222,15 +199,10 @@ inline int run_config_space_figure(bool instruction_stream,
           workloads.size(),
           [&](std::size_t w) {
             BankAccumulator bank(cfgs);
-            if (opts.streaming) {
-              stream_workload(*workloads[w], [&](const PackedChunk& chunk) {
-                bank.feed(instruction_stream ? chunk.ifetch_words()
-                                             : chunk.data_words());
-              });
-            } else {
-              const PackedCapture cap = capture_packed(*workloads[w]);
-              bank.feed(instruction_stream ? cap.ifetch : cap.data);
-            }
+            stream_workload(*workloads[w], [&](const PackedChunk& chunk) {
+              bank.feed(instruction_stream ? chunk.ifetch_words()
+                                           : chunk.data_words());
+            });
             const std::vector<CacheStats> stats = bank.stats();
             runner.add_accesses(bank.words_fed() * cfgs.size());
             std::vector<Cell> row(cfgs.size());

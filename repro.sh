@@ -9,22 +9,21 @@
 #                        tests, the
 #                        throughput/capture/end-to-end/simd/parallel/serving/
 #                        resilience/scaled-sweep/phase gates, the
-#                        streaming-tune, sharded-sweep, mmap-reader,
-#                        scaled-space, serving and phase-timeline
-#                        determinism gates, every bench binary)
+#                        sharded-sweep, trace-file, scaled-space, serving and
+#                        phase-timeline determinism gates, every bench
+#                        binary)
 #   ./repro.sh --quick   build + the parallel-sweep, streaming and serving
 #                        tests (native, TSan, one chaos campaign) + the
 #                        fault-injection, trace-format, mmap-reader,
 #                        replay-equivalence, stack-sweep, sharded-sweep,
 #                        fast-interpreter differential, stream,
 #                        serving, wire and chaos tests (native and
-#                        ASan/UBSan) + --jobs/--engine/--pipeline/
-#                        --sweep-jobs/--reader/--space determinism checks on
-#                        bench_fig3 and stcache_tune, a --phases timeline
-#                        cmp across engines and shard counts,
-#                        + the daemon-vs-in-process serving cmp; minutes,
-#                        not the full regeneration
-#
+#                        ASan/UBSan) + --jobs/--sweep-jobs/partition-count
+#                        determinism checks on bench_fig3 and stcache_tune,
+#                        the trace-file vs workload-mode cmp, the --space
+#                        and --phases cmps across shard counts, + the
+#                        daemon-vs-in-process serving cmp; minutes, not the
+#                        full regeneration
 # See docs/experiments.md for what each bench binary reproduces.
 set -e
 cd "$(dirname "$0")"
@@ -65,13 +64,13 @@ RESILIENCE_FILTER=
 [ "$QUICK" = "1" ] && RESILIENCE_FILTER='--gtest_filter=ServingResilience.CorruptFrameCampaign:ServingResilience.GracefulDrainFinishesInFlightAndRefusesNew'
 ./build-tsan/tests/serving_resilience_test $RESILIENCE_FILTER
 # The phase-adaptive tuner drives set-partitioned bank sweeps from inside
-# a streaming classifier; its engine/shard equivalence tests re-run under
+# a streaming classifier; its reference/shard equivalence tests re-run under
 # TSan so the sweep handoff stays clean when the tuner owns the threads.
 ./build-tsan/tests/phase_test
 
 # The fault-injection, trace-format, replay-equivalence and stack-sweep
 # tests run under Address/UB sanitizers too: they exercise bit-level
-# corruption, CRC footers, retry paths, and the fast/oneshot engines' SoA
+# corruption, CRC footers, retry paths, and the fast/sweep kernels' SoA
 # indexing / bitmap arithmetic, where an off-by-one would read out of
 # bounds without necessarily failing a functional assertion.
 # fast_cpu_test and stream_test join them: the fast interpreter's
@@ -154,23 +153,9 @@ if [ "$QUICK" = "1" ]; then
     ./build/bench/bench_fig3_icache_space --jobs 1 > /tmp/stcache_fig3_j1.txt
     ./build/bench/bench_fig3_icache_space --jobs "$(nproc)" > /tmp/stcache_fig3_jn.txt
     cmp /tmp/stcache_fig3_j1.txt /tmp/stcache_fig3_jn.txt
-    # Engine gate: the fast and oneshot replay engines must reproduce the
-    # reference figure byte for byte (the equivalence suite proves
-    # bit-identical CacheStats; this proves it end to end through a figure
-    # binary).
-    ./build/bench/bench_fig3_icache_space --engine reference > /tmp/stcache_fig3_ref.txt
-    ./build/bench/bench_fig3_icache_space --engine fast > /tmp/stcache_fig3_fast.txt
-    ./build/bench/bench_fig3_icache_space --engine oneshot > /tmp/stcache_fig3_oneshot.txt
-    cmp /tmp/stcache_fig3_ref.txt /tmp/stcache_fig3_fast.txt
-    cmp /tmp/stcache_fig3_ref.txt /tmp/stcache_fig3_oneshot.txt
-    # Pipeline gate: the streaming capture->sweep overlap must reproduce the
-    # materialized run byte for byte, in the figure harness and in the
-    # exhaustive tuner.
-    ./build/bench/bench_fig3_icache_space --pipeline materialized > /tmp/stcache_fig3_mat.txt
-    cmp /tmp/stcache_fig3_ref.txt /tmp/stcache_fig3_mat.txt
-    ./build/tools/stcache_tune --workload crc --exhaustive --pipeline streaming > /tmp/stcache_tune_stream.txt
-    ./build/tools/stcache_tune --workload crc --exhaustive --pipeline materialized > /tmp/stcache_tune_mat.txt
-    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_mat.txt
+    # Baseline for the tune gates below: the serial workload-mode
+    # exhaustive tune (capture streamed into the bank).
+    ./build/tools/stcache_tune --workload crc --exhaustive > /tmp/stcache_tune_stream.txt
     # Sharded-sweep gate: the set-partitioned parallel sweep must reproduce
     # the serial exhaustive tune byte for byte, at several shard counts and
     # at a reduced partition count (STCACHE_SWEEP_PARTITIONS is resolved
@@ -182,63 +167,43 @@ if [ "$QUICK" = "1" ]; then
     done
     STCACHE_SWEEP_PARTITIONS=8 ./build/tools/stcache_tune --workload crc --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_sj.txt
     cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_sj.txt
-    # Reader gate: the out-of-core mmap reader (and its forced pread
-    # fallback) must reproduce the buffered bulk loader byte for byte on a
-    # real captured trace, serial and sharded.
+    # Trace-file gate: the out-of-core file reader (mmap, its forced pread
+    # fallback, and sharded) must reproduce the workload-mode run of the
+    # same stream byte for byte.
     ./build/tools/stcache_trace capture crc /tmp/stcache_repro.stct
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --reader buffered > /tmp/stcache_tune_buf.txt
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --reader mmap > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
-    STCACHE_NO_MMAP=1 ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --reader mmap > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --reader mmap --sweep-jobs 4 > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive > /tmp/stcache_tune_mm.txt
+    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_mm.txt
+    STCACHE_NO_MMAP=1 ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive > /tmp/stcache_tune_mm.txt
+    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_mm.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_mm.txt
+    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_mm.txt
     rm -f /tmp/stcache_repro.stct
-    # Scaled-space gate: the generalized oneshot sweep's --space report
-    # must be byte-identical across engines and shard counts.
+    # Scaled-space gate: the generalized sweep's --space report must be
+    # byte-identical across shard counts.
     ./build/tools/stcache_tune --workload crc I --space embedded > /tmp/stcache_tune_space.txt
-    for eng in reference fast; do
-        ./build/tools/stcache_tune --workload crc I --space embedded --engine "$eng" > /tmp/stcache_tune_space_v.txt
-        cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_space_v.txt
-    done
     ./build/tools/stcache_tune --workload crc I --space embedded --sweep-jobs 4 > /tmp/stcache_tune_space_v.txt
     cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_space_v.txt
     # Phase-timeline gate: the per-phase tuning timeline (verdicts,
-    # configs, distances) must be byte-identical across replay engines
-    # and shard counts on a phase-mixed scenario.
+    # configs, distances) must be byte-identical across shard counts on a
+    # phase-mixed scenario.
     ./build/tools/stcache_tune --phases squarewave > /tmp/stcache_tune_phase.txt
-    for eng in reference fast; do
-        ./build/tools/stcache_tune --phases squarewave --engine "$eng" > /tmp/stcache_tune_phase_v.txt
-        cmp /tmp/stcache_tune_phase.txt /tmp/stcache_tune_phase_v.txt
-    done
     ./build/tools/stcache_tune --phases squarewave --sweep-jobs 4 > /tmp/stcache_tune_phase_v.txt
     cmp /tmp/stcache_tune_phase.txt /tmp/stcache_tune_phase_v.txt
     # Serving gate: a daemon round trip must be byte-identical too.
     start_serving_daemon
     serve_cmp crc I
     stop_serving_daemon
-    echo "Quick pass done: sweep/equivalence/interpreter/serving tests (native + sanitizers), --jobs, --engine, --pipeline, --sweep-jobs, --reader, --phases and daemon determinism ok."
+    echo "Quick pass done: sweep/equivalence/interpreter/serving tests (native + sanitizers), --jobs, --sweep-jobs, trace-file, --space, --phases and daemon determinism ok."
     exit 0
 fi
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# Streaming determinism gate: the overlapped capture->sweep pipeline must
-# print byte-identical tuning output to the materialized capture, for both
-# cache streams of a representative workload.
-for wl in crc ucbqsort; do
-  for streamsel in I D; do
-    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive --pipeline streaming > /tmp/stcache_tune_stream.txt
-    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive --pipeline materialized > /tmp/stcache_tune_mat.txt
-    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_mat.txt
-  done
-done
-echo "[repro] streaming-vs-materialized tune determinism ok"
-
-# Sharded-sweep and out-of-core reader determinism gates: shard counts,
-# reduced partition counts (fresh process each — the count is resolved once
-# per process), the mmap reader, and its forced pread fallback must all
-# reproduce the serial buffered output byte for byte.
+# Sharded-sweep and trace-file determinism gates: shard counts, reduced
+# partition counts (fresh process each — the count is resolved once per
+# process), the out-of-core file reader, its forced pread fallback, and the
+# file reader sharded must all reproduce the serial workload-mode output
+# byte for byte.
 for wl in crc ucbqsort; do
   for streamsel in I D; do
     ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive > /tmp/stcache_tune_serial.txt
@@ -249,29 +214,23 @@ for wl in crc ucbqsort; do
     STCACHE_SWEEP_PARTITIONS=8 ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_sj.txt
     cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_sj.txt
     ./build/tools/stcache_trace capture "$wl" /tmp/stcache_repro.stct
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --reader buffered > /tmp/stcache_tune_buf.txt
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --reader mmap > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
-    STCACHE_NO_MMAP=1 ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --reader mmap > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --reader mmap --sweep-jobs 4 > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive > /tmp/stcache_tune_mm.txt
+    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_mm.txt
+    STCACHE_NO_MMAP=1 ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive > /tmp/stcache_tune_mm.txt
+    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_mm.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_mm.txt
+    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_mm.txt
     rm -f /tmp/stcache_repro.stct
   done
 done
-echo "[repro] sharded-sweep and mmap-reader tune determinism ok"
+echo "[repro] sharded-sweep and trace-file tune determinism ok"
 
 # Scaled-space tune determinism gate: the --space report (generalized
-# oneshot sweep over 64 generic geometries, integer counts per config)
-# must be byte-identical across all three engines and across shard counts,
-# each in a fresh process.
+# sweep over 64 generic geometries, integer counts per config) must be
+# byte-identical across shard counts, each in a fresh process.
 for wl in crc ucbqsort; do
   for streamsel in I D; do
     ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space embedded > /tmp/stcache_tune_space.txt
-    for eng in reference fast; do
-      ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space embedded --engine "$eng" > /tmp/stcache_tune_space_v.txt
-      cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_space_v.txt
-    done
     for sj in 2 4; do
       ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space embedded --sweep-jobs "$sj" > /tmp/stcache_tune_space_v.txt
       cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_space_v.txt
@@ -281,16 +240,12 @@ done
 echo "[repro] scaled-space tune determinism ok"
 
 # Phase-timeline determinism gate: the phase-adaptive tuner's per-phase
-# timeline must be byte-identical across all three engines and across
-# shard counts on every named scenario, each in a fresh process (the
-# classifier samples on global stream offsets and bank stats are
-# bit-identical, so any divergence is a real bug, not jitter).
+# timeline must be byte-identical across shard counts on every named
+# scenario, each in a fresh process (the classifier samples on global
+# stream offsets and bank stats are bit-identical, so any divergence is a
+# real bug, not jitter).
 for scen in squarewave taskset datamix; do
   ./build/tools/stcache_tune --phases "$scen" > /tmp/stcache_tune_phase.txt
-  for eng in reference fast; do
-    ./build/tools/stcache_tune --phases "$scen" --engine "$eng" > /tmp/stcache_tune_phase_v.txt
-    cmp /tmp/stcache_tune_phase.txt /tmp/stcache_tune_phase_v.txt
-  done
   for sj in 2 4; do
     ./build/tools/stcache_tune --phases "$scen" --sweep-jobs "$sj" > /tmp/stcache_tune_phase_v.txt
     cmp /tmp/stcache_tune_phase.txt /tmp/stcache_tune_phase_v.txt
@@ -339,10 +294,10 @@ else
   # on one CPU the neighbor steals cycles, not just service capacity).
   ./build/bench/bench_serving_resilience --out /tmp/stcache_bench_resilience.json > /dev/null
   python3 scripts/bench_check.py BENCH_serving_resilience.json /tmp/stcache_bench_resilience.json --mode resilience
-  # Scaled-space sweep gate: the generalized oneshot engine must sweep the
-  # full embedded_32k space at least 5x faster than the per-config fast
-  # engine on at least two workloads (STCACHE_SCALED_MIN overrides the
-  # floor; serial engine-vs-engine, so it arms even on one core), and the
+  # Scaled-space sweep gate: the generalized oneshot bank must sweep the
+  # full embedded_32k space at least 5x faster than per-config fast sims
+  # on at least two workloads (STCACHE_SCALED_MIN overrides the floor;
+  # serial kernel-vs-kernel, so it arms even on one core), and the
   # oneshot rate must stay within tolerance of the committed
   # BENCH_scaled.json.
   ./build/bench/bench_scaled_space --out /tmp/stcache_bench_scaled.json > /dev/null
@@ -360,13 +315,7 @@ fi
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   echo "\n########## $(basename "$b") ##########\n" >> bench_output.txt
-  "$b" > /tmp/stcache_bench_one.txt 2>&1
-  cat /tmp/stcache_bench_one.txt >> bench_output.txt
-  # Attribute the run to a replay engine (the harnesses report theirs on
-  # stderr as '[replay] engine=...'; absence means the binary predates the
-  # engine selector and used the reference model directly).
-  engine=$(grep '^\[replay\] engine=' /tmp/stcache_bench_one.txt | tail -1 | sed 's/.*engine=//')
-  echo "  $(basename "$b"): engine=${engine:-reference (no selector)}"
+  "$b" >> bench_output.txt 2>&1
 done
 
 echo "Done. See test_output.txt and bench_output.txt."

@@ -343,7 +343,7 @@ void NestedSweepSim::add_totals(Totals& t) const {
   // whose line was never touched again: CacheModel counted those
   // write-backs at eviction time. A bit w-1 belongs to an ended epoch iff
   // the line's CURRENT depth at the level is >= w; deeper bits are lines
-  // still resident in (sets, w) — measure_geometry never flushes, so they
+  // still resident in (sets, w) — a cold bank never flushes, so they
   // owe nothing. Pure read of the pool: feeding may continue after.
   for (std::uint32_t g = 0; g < groups_; ++g) {
     const std::uint32_t seg = g * cap_;

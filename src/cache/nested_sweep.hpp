@@ -123,8 +123,7 @@ class NestedSweepSim {
   };
 
   // All geometries must be valid(), share one line size >= 16 B, and stay
-  // within the 64-way dirty-mask budget. Throws stcache::Error otherwise —
-  // callers (BankAccumulator) route such banks to the fallback engines.
+  // within the 64-way dirty-mask budget. Throws stcache::Error otherwise.
   explicit NestedSweepSim(std::span<const CacheGeometry> geoms,
                           TimingParams timing = {});
 

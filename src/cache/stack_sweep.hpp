@@ -65,15 +65,16 @@
 //    last-access store and an optional dirty OR.
 //
 // Scope: write-back, victim-buffer-off, cold-start, fixed-configuration
-// replay — exactly the measure_config_bank() contract. Write-through
+// replay — exactly the BankAccumulator contract (trace/replay.hpp), which
+// runs this kernel for every line-size group of two or more. Write-through
 // no-write-allocate breaks the shared-recency argument (store misses do
 // not allocate, so per-slot contents diverge from any shared stack), and a
-// victim buffer resurrects evicted lines per-slot; both fall back to the
-// fast engine at the dispatch layer (trace/replay.cpp), as does any
-// warm/reconfiguring replay (reference engine only).
+// victim buffer resurrects evicted lines per-slot; both stay outside the
+// bank (FastCacheSim and the reference model cover them), as does any
+// warm/reconfiguring replay (reference model only).
 //
 // Equivalence is enforced the same way FastCacheSim's is: CacheStats must
-// be bit-identical to both other engines for every in-scope configuration
+// be bit-identical to the reference for every in-scope configuration
 // (tests/replay_equivalence_test.cpp, tests/stack_sweep_test.cpp).
 //
 // SIMD: the hot loops (slot probe, LRU victim scan, repeat-run detection)

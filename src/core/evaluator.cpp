@@ -5,12 +5,17 @@
 
 namespace stcache {
 
+TraceEvaluator::TraceEvaluator(std::span<const TraceRecord> stream,
+                               const EnergyModel& model, TimingParams timing)
+    : owned_(pack_stream(stream)), model_(&model), timing_(timing) {}
+
 const TraceEvaluator::Entry& TraceEvaluator::measure(const CacheConfig& cfg) {
   auto it = cache_.find(cfg.name());
   if (it == cache_.end()) {
+    BankAccumulator bank(std::span<const CacheConfig>(&cfg, 1), timing_);
+    bank.feed(words());
     Entry e;
-    e.stats = packed_mode_ ? measure_config_packed(cfg, packed_, timing_)
-                           : measure_config(cfg, stream_, timing_);
+    e.stats = bank.stats().front();
     e.energy = model_->evaluate(cfg, e.stats).total();
     it = cache_.emplace(cfg.name(), e).first;
   }

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "cache/config.hpp"
 #include "cache/stats.hpp"
@@ -34,26 +36,25 @@ class Evaluator {
 // memoized.
 class TraceEvaluator final : public Evaluator {
  public:
+  // Packs the record stream once, here; every measurement replays the
+  // packed words.
   TraceEvaluator(std::span<const TraceRecord> stream, const EnergyModel& model,
-                 TimingParams timing = {})
-      : stream_(stream), model_(&model), timing_(timing) {}
+                 TimingParams timing = {});
 
-  // Packed-stream variant (capture_packed / load_packed_trace output):
-  // measures on demand through measure_config_packed, which is stats-
-  // identical to the record path for every engine. This is what lets the
-  // in-process tuning pipeline evaluate without ever materializing a
-  // TraceRecord AoS.
+  // Packed-stream variant (capture_packed / load_packed_trace output),
+  // borrowed for the evaluator's lifetime: the in-process tuning pipeline
+  // evaluates without ever materializing a TraceRecord AoS.
   TraceEvaluator(std::span<const std::uint32_t> packed_stream,
                  const EnergyModel& model, TimingParams timing = {})
-      : packed_(packed_stream), packed_mode_(true), model_(&model),
-        timing_(timing) {}
+      : packed_(packed_stream), model_(&model), timing_(timing) {}
 
   double energy(const CacheConfig& cfg) override;
   unsigned evaluations() const override {
     return static_cast<unsigned>(cache_.size());
   }
 
-  // Full breakdown and stats of a configuration (measured on demand).
+  // Full breakdown and stats of a configuration (measured on demand, as a
+  // BankAccumulator bank of one).
   const CacheStats& stats(const CacheConfig& cfg);
 
   // Pre-populate the memo with an externally measured replay result (the
@@ -69,10 +70,12 @@ class TraceEvaluator final : public Evaluator {
     double energy = 0.0;
   };
   const Entry& measure(const CacheConfig& cfg);
+  std::span<const std::uint32_t> words() const {
+    return owned_.empty() ? packed_ : std::span<const std::uint32_t>(owned_);
+  }
 
-  std::span<const TraceRecord> stream_;
-  std::span<const std::uint32_t> packed_;
-  bool packed_mode_ = false;
+  std::vector<std::uint32_t> owned_;       // records constructor: packed here
+  std::span<const std::uint32_t> packed_;  // packed constructor: borrowed
   const EnergyModel* model_;
   TimingParams timing_;
   std::map<std::string, Entry> cache_;

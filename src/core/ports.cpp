@@ -14,8 +14,14 @@ TunerCounters counters_from_stats(const CacheStats& s) {
   return c;
 }
 
+TraceTunerPort::TraceTunerPort(std::span<const TraceRecord> stream,
+                               TimingParams timing)
+    : packed_(pack_stream(stream)), timing_(timing) {}
+
 TunerCounters TraceTunerPort::measure(const CacheConfig& cfg) {
-  return counters_from_stats(measure_config(cfg, stream_, timing_));
+  BankAccumulator bank(std::span<const CacheConfig>(&cfg, 1), timing_);
+  bank.feed(packed_);
+  return counters_from_stats(bank.stats().front());
 }
 
 TunerCounters LiveTunerPort::measure(const CacheConfig& cfg) {

@@ -4,6 +4,7 @@
 
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "core/tuner_fsmd.hpp"
 #include "sim/system.hpp"
@@ -13,15 +14,16 @@ namespace stcache {
 
 // Offline port: each measurement replays the benchmark's full (single-
 // stream) trace through a cold cache — the paper's Table 1 methodology.
+// The stream is packed once at construction; each measurement is a
+// BankAccumulator bank of one.
 class TraceTunerPort final : public TunerPort {
  public:
-  TraceTunerPort(std::span<const TraceRecord> stream, TimingParams timing = {})
-      : stream_(stream), timing_(timing) {}
+  TraceTunerPort(std::span<const TraceRecord> stream, TimingParams timing = {});
 
   TunerCounters measure(const CacheConfig& cfg) override;
 
  private:
-  std::span<const TraceRecord> stream_;
+  std::vector<std::uint32_t> packed_;
   TimingParams timing_;
 };
 
@@ -96,7 +98,7 @@ class TappedTunerPort final : public TunerPort {
 
 // Serve measurements from a precomputed per-configuration bank. The
 // resilience bench replays thousands of tuning sessions against the same
-// stream; measuring each configuration once (measure_config_bank) and
+// stream; measuring each configuration once (one BankAccumulator pass) and
 // serving sessions from the bank makes every session a table lookup.
 // Throws stcache::Error if a configuration outside the bank is requested.
 class BankTunerPort final : public TunerPort {

@@ -42,20 +42,23 @@ std::string geometry_name(const CacheGeometry& g) {
          "W_" + std::to_string(g.line_bytes) + "B";
 }
 
+ScaledEvaluator::ScaledEvaluator(std::span<const TraceRecord> stream,
+                                 const EnergyModel& model, TimingParams timing)
+    : owned_(pack_stream(stream)), model_(&model), timing_(timing) {}
+
 double ScaledEvaluator::energy(const CacheGeometry& g) {
   const std::string key = geometry_name(g);
   auto it = memo_.find(key);
   if (it == memo_.end()) {
-    const CacheStats stats =
-        packed_mode_ ? measure_geometry_packed(g, packed_, timing_)
-                     : measure_geometry(g, stream_, timing_);
+    BankAccumulator bank(std::span<const CacheGeometry>(&g, 1), timing_);
+    bank.feed(words());
+    const CacheStats stats = bank.stats().front();
     it = memo_.emplace(key, model_->evaluate_generic(g, stats).total()).first;
   }
   return it->second;
 }
 
-void ScaledEvaluator::prime(const ScaledSpace& space, ReplayEngine engine,
-                            unsigned sweep_jobs) {
+void ScaledEvaluator::prime(const ScaledSpace& space) {
   const std::vector<CacheGeometry>& geoms = space.configs();
   if (geoms.empty()) return;
   // Already primed (e.g. via prime_from) — nothing left to measure.
@@ -67,11 +70,7 @@ void ScaledEvaluator::prime(const ScaledSpace& space, ReplayEngine engine,
     }
   }
   if (all_memoized) return;
-  const std::vector<CacheStats> stats =
-      packed_mode_
-          ? measure_geometry_bank(geoms, packed_, timing_, engine, sweep_jobs)
-          : measure_geometry_bank(geoms, stream_, timing_, engine, sweep_jobs);
-  prime_from(geoms, stats);
+  prime_from(geoms, measure_geometry_bank(geoms, words(), timing_));
 }
 
 void ScaledEvaluator::prime_from(std::span<const CacheGeometry> geoms,

@@ -20,8 +20,8 @@
 #include <vector>
 
 #include "cache/cache_model.hpp"
+#include "cache/stats.hpp"
 #include "energy/energy_model.hpp"
-#include "trace/replay.hpp"
 #include "trace/trace.hpp"
 
 namespace stcache {
@@ -59,31 +59,28 @@ struct ScaledSpace {
   std::vector<CacheGeometry> configs_;
 };
 
-// Full-trace evaluator over generic geometries, memoized. Single-config
-// energy() queries replay through the engine-aware measure_geometry /
-// measure_geometry_packed (fast engine under the process default);
-// prime() measures a whole space in one generalized-oneshot bank pass.
+// Full-trace evaluator over generic geometries, memoized. Every geometry
+// evaluated through it must have line_bytes >= 16 (packed words are 16 B
+// blocks). Single-config energy() queries measure a BankAccumulator bank
+// of one (the fast sim); prime() measures a whole space in one bank pass.
 class ScaledEvaluator {
  public:
+  // Packs the record stream once, here.
   ScaledEvaluator(std::span<const TraceRecord> stream, const EnergyModel& model,
-                  TimingParams timing = {})
-      : stream_(stream), model_(&model), timing_(timing) {}
-  // Packed-stream variant (16 B-block words): every geometry evaluated
-  // through it must have line_bytes >= 16.
+                  TimingParams timing = {});
+  // Packed-stream variant, borrowed for the evaluator's lifetime.
   ScaledEvaluator(std::span<const std::uint32_t> packed,
                   const EnergyModel& model, TimingParams timing = {})
-      : packed_(packed), packed_mode_(true), model_(&model), timing_(timing) {}
+      : packed_(packed), model_(&model), timing_(timing) {}
 
   double energy(const CacheGeometry& g);
 
-  // Measure every configuration of `space` in one bank pass — grouped by
-  // line-size family into generalized stack-distance traversals under the
-  // oneshot engine (see measure_geometry_bank) — and memoize the
-  // energies. tune_scaled_exhaustive calls this; the greedy heuristic
-  // keeps its on-demand per-config path.
-  void prime(const ScaledSpace& space,
-             ReplayEngine engine = ReplayEngine::kDefault,
-             unsigned sweep_jobs = 0);
+  // Measure every configuration of `space` in one bank pass — one
+  // generalized stack-distance traversal per line-size family, sharded by
+  // default_sweep_jobs() — and memoize the energies.
+  // tune_scaled_exhaustive calls this; the greedy heuristic keeps its
+  // on-demand per-config path.
+  void prime(const ScaledSpace& space);
   // Memoize energies from externally measured stats (stats[i] ~ geoms[i]);
   // lets report renderers re-run searches without touching the stream.
   void prime_from(std::span<const CacheGeometry> geoms,
@@ -92,9 +89,12 @@ class ScaledEvaluator {
   unsigned evaluations() const { return static_cast<unsigned>(memo_.size()); }
 
  private:
-  std::span<const TraceRecord> stream_;
-  std::span<const std::uint32_t> packed_;
-  bool packed_mode_ = false;
+  std::span<const std::uint32_t> words() const {
+    return owned_.empty() ? packed_ : std::span<const std::uint32_t>(owned_);
+  }
+
+  std::vector<std::uint32_t> owned_;       // records constructor: packed here
+  std::span<const std::uint32_t> packed_;  // packed constructor: borrowed
   const EnergyModel* model_;
   TimingParams timing_;
   std::map<std::string, double> memo_;

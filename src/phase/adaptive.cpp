@@ -111,7 +111,7 @@ void PhaseAdaptiveTuner::decide() {
   }
   current_.verdict = PhaseVerdict::kSwept;
   state_ = State::kSweeping;
-  bank_.emplace(configs_, params_.timing, params_.engine, params_.sweep_jobs);
+  bank_.emplace(configs_, params_.timing, params_.sweep_jobs);
   bank_windows_ = 0;
   std::deque<Buffer> bufs;
   bufs.swap(warm_bufs_);

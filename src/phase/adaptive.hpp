@@ -6,7 +6,7 @@
 // configuration of a previously tuned phase whose signature is within the
 // reuse threshold (phase distance mapping, Adegbija et al.) or paying for
 // a fresh full-space sweep over the phase's first sweep_windows windows
-// (BankAccumulator under the configured engine/sweep-jobs, closed by the
+// (BankAccumulator under the configured sweep-jobs, closed by the
 // paper's Fig. 6 heuristic over a primed TraceEvaluator).
 //
 // Phase lifecycle, per detected phase:
@@ -21,8 +21,8 @@
 //              classifier only (no buffering beyond the current window).
 //
 // Determinism: windows close at fixed absolute word offsets and bank
-// stats are bit-identical across engines and --sweep-jobs, so the
-// timeline (boundaries, verdicts, configs, distances) is byte-identical
+// stats are bit-identical across --sweep-jobs values and feed slicings, so
+// the timeline (boundaries, verdicts, configs, distances) is byte-identical
 // across all of them — repro.sh cmp-gates this through stcache_tune
 // --phases.
 #pragma once
@@ -50,7 +50,6 @@ struct PhaseTunerParams {
   unsigned key_windows = 2;       // windows folded into the lookup key
   unsigned sweep_windows = 4;     // windows a fresh sweep measures
   bool distance_mapping = true;   // false = naive: every phase re-sweeps
-  ReplayEngine engine = ReplayEngine::kDefault;
   unsigned sweep_jobs = 0;  // 0 = default_sweep_jobs()
   TimingParams timing{};
 };
@@ -140,8 +139,8 @@ class PhaseAdaptiveTuner {
   std::uint64_t swept_words_ = 0;
 };
 
-// Render a timeline as a deterministic table (stdout-stable across
-// engines and shard counts). Used by stcache_tune --phases and the
+// Render a timeline as a deterministic table (stdout-stable across shard
+// counts). Used by stcache_tune --phases and the
 // example.
 void print_phase_timeline(std::ostream& os,
                           std::span<const PhaseRecord> timeline);

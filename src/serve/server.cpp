@@ -247,8 +247,7 @@ void TuningServer::serve_connection(int fd) {
     }
 
     if (session != 0) {
-      entry = std::make_shared<SessionEntry>(
-          std::span<const CacheConfig>(all_configs()), opts_.engine);
+      entry = std::make_shared<SessionEntry>();
       entry->fd = fd;
       entry->instruction = instruction;
       {

@@ -55,8 +55,6 @@ struct ServerOptions {
   std::size_t chunk_words = std::size_t{1} << 14;
   // Max chunks one session may have in flight before its reader blocks.
   std::size_t session_budget = 4;
-  // Replay engine for the per-session banks (kDefault = process default).
-  ReplayEngine engine = ReplayEngine::kDefault;
   int listen_backlog = 16;
 
   // --- resilience knobs (docs/serving.md §6) --------------------------------
@@ -120,10 +118,7 @@ class TuningServer {
   // the shard worker owns `bank`. `write_mu` serializes the single
   // response frame (reader-side protocol errors vs worker verdicts).
   struct SessionEntry {
-    explicit SessionEntry(std::span<const CacheConfig> configs,
-                          ReplayEngine engine)
-        : bank(configs, {}, engine) {}
-    BankAccumulator bank;
+    BankAccumulator bank{all_configs()};
     int fd = -1;
     bool instruction = true;
     std::mutex write_mu;

@@ -8,6 +8,7 @@
 #include <iostream>
 
 #include "cache/fast_cache.hpp"
+#include "cache/nested_sweep.hpp"
 #include "cache/stack_sweep.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -17,20 +18,12 @@ namespace stcache {
 
 namespace {
 
-std::atomic<ReplayEngine> g_default_engine{ReplayEngine::kOneshot};
-
-ReplayEngine resolve(ReplayEngine engine) {
-  return engine == ReplayEngine::kDefault
-             ? g_default_engine.load(std::memory_order_relaxed)
-             : engine;
-}
-
-// Upper bound on partitions AND shards. The partition key uses bits 2..6
-// of the 16 B block number; those five bits are the intersection of the
-// set-index bit ranges of every supported configuration (128 sets at 64 B
-// lines indexes bits 2..8, 128 sets at 16 B lines indexes bits 0..6), so
-// a coarser key would split some configuration's set across partitions
-// and break the exact-merge argument.
+// Upper bound on partitions AND shards: a five-bit key. For the platform
+// bank the derived key is bits 2..6 of the 16 B block number, the
+// intersection of the set-index bit ranges of every configuration (the
+// 128-set configurations index bits 0..6, and bit 2 is the 64 B line
+// granularity); a coarser key would split some configuration's set across
+// partitions and break the exact-merge argument.
 constexpr unsigned kMaxSweepPartitions = 32;
 
 // 0 = resolve from the environment (STCACHE_SWEEP_JOBS, else serial).
@@ -52,6 +45,107 @@ unsigned env_sweep_jobs() {
   return resolved;
 }
 
+// The two bank kinds differ only in these: the line size, the bytes of one
+// way (its set count in 16 B rows, times 16), and the kernels that run a
+// line-size group (sweep) or a singleton (fast).
+std::uint32_t line_bytes_of(const CacheConfig& c) { return c.line_bytes(); }
+std::uint32_t line_bytes_of(const CacheGeometry& g) { return g.line_bytes; }
+std::uint32_t way_bytes_of(const CacheConfig& c) {
+  return c.size_bytes() / c.ways();
+}
+std::uint32_t way_bytes_of(const CacheGeometry& g) {
+  return g.size_bytes / g.assoc;
+}
+
+template <typename Desc>
+struct Kernels;
+template <>
+struct Kernels<CacheConfig> {
+  using Sweep = StackSweepSim;
+  using Fast = FastCacheSim;
+};
+template <>
+struct Kernels<CacheGeometry> {
+  using Sweep = NestedSweepSim;
+  using Fast = FastGeomSim;
+};
+
+// log2(bytes / 16) for a power-of-two byte count >= 16.
+unsigned block_bits(std::uint32_t bytes) {
+  return static_cast<unsigned>(std::countr_zero(bytes)) - 4;
+}
+
+}  // namespace
+
+namespace detail {
+
+class BankGroup {
+ public:
+  virtual ~BankGroup() = default;
+  // Replay into shard `shard`'s sim replica (a singleton has shard 0 only).
+  virtual void replay(unsigned shard,
+                      std::span<const std::uint32_t> packed) = 0;
+  // Write this group's stats into their bank slots of `out`.
+  virtual void collect(std::vector<CacheStats>& out) const = 0;
+};
+
+}  // namespace detail
+
+namespace {
+
+// Two or more configurations of one line size: one traversal per shard,
+// merged by summing the shards' exact integer totals.
+template <typename Desc>
+class SweepGroup final : public detail::BankGroup {
+  using Sweep = typename Kernels<Desc>::Sweep;
+
+ public:
+  SweepGroup(std::vector<Desc> descs, std::vector<std::size_t> where,
+             const TimingParams& timing, unsigned shards)
+      : descs_(std::move(descs)), where_(std::move(where)) {
+    shards_.reserve(shards);
+    for (unsigned s = 0; s < shards; ++s) shards_.emplace_back(descs_, timing);
+  }
+
+  void replay(unsigned shard, std::span<const std::uint32_t> packed) override {
+    shards_[shard].replay(packed);
+  }
+
+  void collect(std::vector<CacheStats>& out) const override {
+    typename Sweep::Totals totals;
+    for (const Sweep& shard : shards_) shard.add_totals(totals);
+    for (std::size_t j = 0; j < descs_.size(); ++j) {
+      out[where_[j]] = shards_.front().stats_from(totals, descs_[j]);
+    }
+  }
+
+ private:
+  std::vector<Desc> descs_;
+  std::vector<std::size_t> where_;  // indices into the bank's stats
+  std::vector<Sweep> shards_;       // [0] runs on the feeding thread
+};
+
+// A line size with one configuration: a shared traversal buys nothing, so
+// it runs the per-configuration fast sim over every feed.
+template <typename Desc>
+class FastGroup final : public detail::BankGroup {
+ public:
+  FastGroup(const Desc& desc, std::size_t where, const TimingParams& timing)
+      : sim_(desc, timing), where_(where) {}
+
+  void replay(unsigned, std::span<const std::uint32_t> packed) override {
+    sim_.replay(packed);
+  }
+
+  void collect(std::vector<CacheStats>& out) const override {
+    out[where_] = sim_.stats();
+  }
+
+ private:
+  typename Kernels<Desc>::Fast sim_;
+  std::size_t where_;
+};
+
 }  // namespace
 
 unsigned default_sweep_jobs() {
@@ -70,36 +164,9 @@ unsigned sweep_partitions() {
     if (const char* e = std::getenv("STCACHE_SWEEP_PARTITIONS")) {
       p = clamp_jobs(std::strtol(e, nullptr, 10));
     }
-    return std::bit_floor(p);  // the scatter key is (block >> 2) & (p - 1)
+    return std::bit_floor(p);  // the scatter key is a mask of p - 1
   }();
   return parts;
-}
-
-ReplayEngine default_replay_engine() {
-  return g_default_engine.load(std::memory_order_relaxed);
-}
-
-void set_default_replay_engine(ReplayEngine engine) {
-  g_default_engine.store(
-      engine == ReplayEngine::kDefault ? ReplayEngine::kOneshot : engine,
-      std::memory_order_relaxed);
-}
-
-const char* to_string(ReplayEngine engine) {
-  switch (engine) {
-    case ReplayEngine::kDefault: return "default";
-    case ReplayEngine::kReference: return "reference";
-    case ReplayEngine::kFast: return "fast";
-    case ReplayEngine::kOneshot: return "oneshot";
-  }
-  return "?";
-}
-
-ReplayEngine parse_replay_engine(const std::string& name) {
-  if (name == "reference") return ReplayEngine::kReference;
-  if (name == "fast") return ReplayEngine::kFast;
-  if (name == "oneshot") return ReplayEngine::kOneshot;
-  fail("unknown replay engine '" + name + "' (expected reference|fast|oneshot)");
 }
 
 void pack_stream(std::span<const TraceRecord> stream,
@@ -127,249 +194,77 @@ CacheStats replay(ConfigurableCache& cache, std::span<const TraceRecord> stream)
   return cache.stats() - before;
 }
 
-CacheStats replay(CacheModel& cache, std::span<const TraceRecord> stream) {
-  const CacheStats before = cache.stats();
-  for (const TraceRecord& r : stream) {
-    cache.access(r.addr, r.kind == AccessKind::kWrite);
-  }
-  return cache.stats() - before;
-}
+template <typename Desc>
+void BankAccumulator::build(std::span<const Desc> descs,
+                            const TimingParams& timing, unsigned sweep_jobs) {
+  n_ = descs.size();
+  std::vector<std::uint32_t> lines;
+  for (const Desc& d : descs) lines.push_back(line_bytes_of(d));
+  std::sort(lines.begin(), lines.end());
+  lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
 
-CacheStats measure_config_ex(const CacheConfig& cfg,
-                             std::span<const TraceRecord> stream,
-                             const ReplayParams& params) {
-  const ReplayEngine engine = resolve(params.engine);
-  // The oneshot kernel only pays off across a bank; a single-configuration
-  // measurement (and anything write-through or victim-buffered, which is
-  // outside the stack kernel's scope) runs on the fast engine.
-  if (engine == ReplayEngine::kFast || engine == ReplayEngine::kOneshot) {
-    FastCacheSim sim(cfg, params.timing, params.write_policy,
-                     params.victim_entries);
-    sim.replay(pack_stream(stream));
-    return sim.stats();
-  }
-  ConfigurableCache cache(cfg, params.timing, params.write_policy,
-                          params.victim_entries);
-  return replay(cache, stream);
-}
-
-CacheStats measure_config(const CacheConfig& cfg,
-                          std::span<const TraceRecord> stream,
-                          const TimingParams& timing, ReplayEngine engine) {
-  ReplayParams params;
-  params.timing = timing;
-  params.engine = engine;
-  return measure_config_ex(cfg, stream, params);
-}
-
-CacheStats measure_geometry(const CacheGeometry& g,
-                            std::span<const TraceRecord> stream,
-                            const TimingParams& timing, ReplayEngine engine) {
-  // Sub-16 B lines index below the packed 16 B block granularity, so they
-  // stay on the reference model over the raw addresses regardless of the
-  // requested engine.
-  if (resolve(engine) == ReplayEngine::kReference || g.line_bytes < 16) {
-    CacheModel cache(g, timing);
-    return replay(cache, stream);
-  }
-  FastGeomSim sim(g, timing);
-  sim.replay(pack_stream(stream));
-  return sim.stats();
-}
-
-CacheStats measure_geometry_packed(const CacheGeometry& g,
-                                   std::span<const std::uint32_t> packed,
-                                   const TimingParams& timing,
-                                   ReplayEngine engine) {
-  if (g.line_bytes < 16) {
-    fail("measure_geometry_packed: sub-16 B line geometry cannot replay a "
-         "packed 16 B-block stream");
-  }
-  if (resolve(engine) == ReplayEngine::kReference) {
-    CacheModel cache(g, timing);
-    for (const std::uint32_t word : packed) {
-      cache.access((word & FastCacheSim::kPackedBlockMask) << 4,
-                   (word & FastCacheSim::kPackedWriteBit) != 0);
+  struct Group {
+    std::vector<Desc> descs;
+    std::vector<std::size_t> where;
+  };
+  std::vector<Group> groups;
+  // Partition key (see the class comment): at or above every grouped line
+  // granularity, inside the narrowest grouped set-index span.
+  unsigned key_shift = 0;
+  unsigned key_top = 31;
+  for (const std::uint32_t line : lines) {
+    Group g;
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (line_bytes_of(descs[i]) == line) {
+        g.descs.push_back(descs[i]);
+        g.where.push_back(i);
+      }
     }
-    return cache.stats();
-  }
-  FastGeomSim sim(g, timing);
-  sim.replay(packed);
-  return sim.stats();
-}
-
-CacheStats measure_config_packed(const CacheConfig& cfg,
-                                 std::span<const std::uint32_t> packed,
-                                 const TimingParams& timing,
-                                 ReplayEngine engine) {
-  if (resolve(engine) == ReplayEngine::kReference) {
-    ConfigurableCache cache(cfg, timing);
-    for (const std::uint32_t word : packed) {
-      cache.access((word & FastCacheSim::kPackedBlockMask) << 4,
-                   (word & FastCacheSim::kPackedWriteBit) != 0);
+    if (g.descs.size() == 1) {
+      singletons_.push_back(std::make_unique<FastGroup<Desc>>(
+          g.descs.front(), g.where.front(), timing));
+      continue;
     }
-    return cache.stats();
+    key_shift = std::max(key_shift, block_bits(line));
+    for (const Desc& d : g.descs) {
+      key_top = std::min(key_top, block_bits(way_bytes_of(d)));
+    }
+    groups.push_back(std::move(g));
   }
-  FastCacheSim sim(cfg, timing);
-  sim.replay(packed);
-  return sim.stats();
+  if (groups.empty()) return;
+
+  const unsigned key_bits = key_top > key_shift ? key_top - key_shift : 0;
+  scatter_shift_ = key_shift;
+  parts_ = std::min(sweep_partitions(),
+                    key_bits >= 5 ? kMaxSweepPartitions : 1u << key_bits);
+  if (sweep_jobs == 0) sweep_jobs = default_sweep_jobs();
+  jobs_ = std::min(clamp_jobs(static_cast<long>(sweep_jobs)), parts_);
+  if (jobs_ > 1) {
+    part_buf_.resize(parts_);
+    shard_records_.assign(jobs_, 0);
+  }
+  for (Group& g : groups) {
+    sweeps_.push_back(std::make_unique<SweepGroup<Desc>>(
+        std::move(g.descs), std::move(g.where), timing, jobs_));
+  }
 }
 
 BankAccumulator::BankAccumulator(std::span<const CacheConfig> configs,
                                  const TimingParams& timing,
-                                 ReplayEngine engine, unsigned sweep_jobs)
-    : n_(configs.size()) {
-  switch (resolve(engine)) {
-    case ReplayEngine::kReference:
-      reference_bank_.reserve(n_);
-      for (const CacheConfig& cfg : configs) {
-        reference_bank_.emplace_back(cfg, timing);
-      }
-      break;
-    case ReplayEngine::kFast:
-      fast_bank_.reserve(n_);
-      for (const CacheConfig& cfg : configs) {
-        fast_bank_.emplace_back(cfg, timing);
-      }
-      break;
-    default:
-      // Oneshot: one stack-distance traversal per line size evaluates every
-      // configuration of that group at once; a singleton group gains
-      // nothing from the shared traversal and runs on the fast kernel.
-      for (const LineBytes line : kLineSizes) {
-        std::vector<CacheConfig> group;
-        std::vector<std::size_t> where;
-        for (std::size_t i = 0; i < n_; ++i) {
-          if (configs[i].line == line) {
-            group.push_back(configs[i]);
-            where.push_back(i);
-          }
-        }
-        if (group.empty()) continue;
-        if (group.size() == 1) {
-          singleton_where_.push_back(where.front());
-          singleton_sims_.emplace_back(group.front(), timing);
-          continue;
-        }
-        SweepGroup g;
-        g.shards.emplace_back(group, timing);
-        g.configs = std::move(group);
-        g.where = std::move(where);
-        sweep_groups_.push_back(std::move(g));
-      }
-      if (!sweep_groups_.empty()) {
-        if (sweep_jobs == 0) sweep_jobs = default_sweep_jobs();
-        parts_ = sweep_partitions();
-        jobs_ = std::min(clamp_jobs(static_cast<long>(sweep_jobs)), parts_);
-        if (jobs_ > 1) {
-          // One sim replica per shard per group; each shard accumulates
-          // the partitions it owns and stats() sums the Totals.
-          for (SweepGroup& g : sweep_groups_) {
-            g.shards.reserve(jobs_);
-            for (unsigned s = 1; s < jobs_; ++s) {
-              g.shards.emplace_back(g.configs, timing);
-            }
-          }
-          part_buf_.resize(parts_);
-          shard_records_.assign(jobs_, 0);
-        }
-      }
-      break;
-  }
+                                 unsigned sweep_jobs) {
+  build(configs, timing, sweep_jobs);
 }
 
 BankAccumulator::BankAccumulator(std::span<const CacheGeometry> geoms,
                                  const TimingParams& timing,
-                                 ReplayEngine engine, unsigned sweep_jobs)
-    : n_(geoms.size()) {
+                                 unsigned sweep_jobs) {
   for (const CacheGeometry& g : geoms) {
     if (!g.valid() || g.line_bytes < 16) {
       fail("BankAccumulator: geometry bank requires valid line_bytes >= 16 "
-           "geometries (measure_geometry_bank over records routes smaller "
-           "lines to the reference model)");
+           "geometries (packed streams carry 16 B block numbers)");
     }
   }
-  switch (resolve(engine)) {
-    case ReplayEngine::kReference:
-      geom_reference_bank_.reserve(n_);
-      for (const CacheGeometry& g : geoms) {
-        geom_reference_bank_.emplace_back(g, timing);
-      }
-      break;
-    case ReplayEngine::kFast:
-      geom_fast_bank_.reserve(n_);
-      for (const CacheGeometry& g : geoms) {
-        geom_fast_bank_.emplace_back(g, timing);
-      }
-      break;
-    default: {
-      // Oneshot: one generalized stack-distance traversal per line-size
-      // family (set counts of one family always nest: powers of two).
-      // Deterministic family order: ascending line size.
-      std::vector<std::uint32_t> lines;
-      for (const CacheGeometry& g : geoms) {
-        if (std::find(lines.begin(), lines.end(), g.line_bytes) ==
-            lines.end()) {
-          lines.push_back(g.line_bytes);
-        }
-      }
-      std::sort(lines.begin(), lines.end());
-      for (const std::uint32_t line : lines) {
-        std::vector<CacheGeometry> family;
-        std::vector<std::size_t> where;
-        for (std::size_t i = 0; i < n_; ++i) {
-          if (geoms[i].line_bytes == line) {
-            family.push_back(geoms[i]);
-            where.push_back(i);
-          }
-        }
-        if (family.size() == 1) {
-          geom_singleton_where_.push_back(where.front());
-          geom_singleton_sims_.emplace_back(family.front(), timing);
-          continue;
-        }
-        GeomSweepGroup g;
-        g.shards.emplace_back(family, timing);
-        g.geoms = std::move(family);
-        g.where = std::move(where);
-        geom_groups_.push_back(std::move(g));
-      }
-      if (!geom_groups_.empty()) {
-        if (sweep_jobs == 0) sweep_jobs = default_sweep_jobs();
-        // Partition key derivation (see the class comment): the key must
-        // sit at or above every family's line granularity and inside the
-        // narrowest set-index span of any grouped geometry.
-        unsigned max_shift = 0, min_top = 31;
-        for (const GeomSweepGroup& g : geom_groups_) {
-          for (const CacheGeometry& geo : g.geoms) {
-            const unsigned k = static_cast<unsigned>(
-                std::countr_zero(geo.line_bytes)) - 4;
-            max_shift = std::max(max_shift, k);
-            min_top = std::min(
-                min_top,
-                k + static_cast<unsigned>(std::countr_zero(geo.num_sets())));
-          }
-        }
-        scatter_shift_ = max_shift;
-        const unsigned key_bits =
-            min_top > max_shift ? min_top - max_shift : 0;
-        parts_ = std::min(sweep_partitions(),
-                          key_bits >= 5 ? kMaxSweepPartitions : 1u << key_bits);
-        jobs_ = std::min(clamp_jobs(static_cast<long>(sweep_jobs)), parts_);
-        if (jobs_ > 1) {
-          for (GeomSweepGroup& g : geom_groups_) {
-            g.shards.reserve(jobs_);
-            for (unsigned s = 1; s < jobs_; ++s) {
-              g.shards.emplace_back(g.geoms, timing);
-            }
-          }
-          part_buf_.resize(parts_);
-          shard_records_.assign(jobs_, 0);
-        }
-      }
-      break;
-    }
-  }
+  build(geoms, timing, sweep_jobs);
 }
 
 BankAccumulator::~BankAccumulator() = default;
@@ -383,29 +278,13 @@ void BankAccumulator::replay_shard(unsigned shard) {
     const std::vector<std::uint32_t>& bucket = part_buf_[p];
     if (bucket.empty()) continue;
     fed += bucket.size();
-    for (SweepGroup& g : sweep_groups_) g.shards[shard].replay(bucket);
-    for (GeomSweepGroup& g : geom_groups_) g.shards[shard].replay(bucket);
+    for (const auto& g : sweeps_) g->replay(shard, bucket);
   }
   shard_records_[shard] += fed;
 }
 
 void BankAccumulator::feed(std::span<const std::uint32_t> packed) {
   words_fed_ += packed.size();
-  if (!reference_bank_.empty() || !geom_reference_bank_.empty()) {
-    for (const std::uint32_t word : packed) {
-      const std::uint32_t addr = (word & FastCacheSim::kPackedBlockMask) << 4;
-      const bool write = (word & FastCacheSim::kPackedWriteBit) != 0;
-      for (ConfigurableCache& cache : reference_bank_) {
-        cache.access(addr, write);
-      }
-      for (CacheModel& cache : geom_reference_bank_) {
-        cache.access(addr, write);
-      }
-    }
-    return;
-  }
-  for (FastCacheSim& sim : fast_bank_) sim.replay(packed);
-  for (FastGeomSim& sim : geom_fast_bank_) sim.replay(packed);
   if (jobs_ > 1 && !packed.empty()) {
     // Scatter into set partitions (stream order preserved within each
     // bucket — the only order that matters, since partitions never share
@@ -414,9 +293,7 @@ void BankAccumulator::feed(std::span<const std::uint32_t> packed) {
     for (std::vector<std::uint32_t>& bucket : part_buf_) bucket.clear();
     const std::uint32_t pmask = parts_ - 1;
     for (const std::uint32_t word : packed) {
-      // Key bits [scatter_shift_, scatter_shift_ + log2(parts_)) of the
-      // block number (the write bit is stripped first; for the platform
-      // bank this is the historical bits 2..6).
+      // The write bit is stripped before the key is taken.
       part_buf_[((word & FastCacheSim::kPackedBlockMask) >> scatter_shift_) &
                 pmask]
           .push_back(word);
@@ -430,47 +307,15 @@ void BankAccumulator::feed(std::span<const std::uint32_t> packed) {
     replay_shard(0);
     for (std::future<void>& f : pending) f.get();  // rethrows shard errors
   } else {
-    for (SweepGroup& g : sweep_groups_) g.shards.front().replay(packed);
-    for (GeomSweepGroup& g : geom_groups_) g.shards.front().replay(packed);
+    for (const auto& g : sweeps_) g->replay(0, packed);
   }
-  for (FastCacheSim& sim : singleton_sims_) sim.replay(packed);
-  for (FastGeomSim& sim : geom_singleton_sims_) sim.replay(packed);
+  for (const auto& g : singletons_) g->replay(0, packed);
 }
 
 std::vector<CacheStats> BankAccumulator::stats() const {
   std::vector<CacheStats> out(n_);
-  for (std::size_t i = 0; i < reference_bank_.size(); ++i) {
-    out[i] = reference_bank_[i].stats();
-  }
-  for (std::size_t i = 0; i < fast_bank_.size(); ++i) {
-    out[i] = fast_bank_[i].stats();
-  }
-  for (std::size_t i = 0; i < geom_reference_bank_.size(); ++i) {
-    out[i] = geom_reference_bank_[i].stats();
-  }
-  for (std::size_t i = 0; i < geom_fast_bank_.size(); ++i) {
-    out[i] = geom_fast_bank_[i].stats();
-  }
-  for (const SweepGroup& g : sweep_groups_) {
-    StackSweepSim::Totals totals;
-    for (const StackSweepSim& shard : g.shards) shard.add_totals(totals);
-    for (std::size_t j = 0; j < g.configs.size(); ++j) {
-      out[g.where[j]] = g.shards.front().stats_from(totals, g.configs[j]);
-    }
-  }
-  for (const GeomSweepGroup& g : geom_groups_) {
-    NestedSweepSim::Totals totals;
-    for (const NestedSweepSim& shard : g.shards) shard.add_totals(totals);
-    for (std::size_t j = 0; j < g.geoms.size(); ++j) {
-      out[g.where[j]] = g.shards.front().stats_from(totals, g.geoms[j]);
-    }
-  }
-  for (std::size_t i = 0; i < singleton_sims_.size(); ++i) {
-    out[singleton_where_[i]] = singleton_sims_[i].stats();
-  }
-  for (std::size_t i = 0; i < geom_singleton_sims_.size(); ++i) {
-    out[geom_singleton_where_[i]] = geom_singleton_sims_[i].stats();
-  }
+  for (const auto& g : sweeps_) g->collect(out);
+  for (const auto& g : singletons_) g->collect(out);
   if (jobs_ > 1 && metrics_enabled()) {
     std::uint64_t total = 0;
     std::uint64_t peak = 0;
@@ -489,79 +334,13 @@ std::vector<CacheStats> BankAccumulator::stats() const {
   return out;
 }
 
-std::vector<CacheStats> measure_config_bank(
-    std::span<const CacheConfig> configs, std::span<const TraceRecord> stream,
-    const TimingParams& timing, ReplayEngine engine,
-    std::vector<std::uint32_t>& packed_scratch) {
-  const ReplayEngine resolved = resolve(engine);
-  if (resolved == ReplayEngine::kReference) {
-    // The reference bank keeps its historical record-major loop over the
-    // raw (unpacked) addresses: no packing pass, and full addresses in
-    // case a future geometry ever looks below bit 4.
-    std::vector<CacheStats> stats(configs.size());
-    std::vector<ConfigurableCache> bank;
-    bank.reserve(configs.size());
-    for (const CacheConfig& cfg : configs) bank.emplace_back(cfg, timing);
-    for (const TraceRecord& r : stream) {
-      const bool write = r.kind == AccessKind::kWrite;
-      for (ConfigurableCache& cache : bank) cache.access(r.addr, write);
-    }
-    for (std::size_t i = 0; i < configs.size(); ++i) stats[i] = bank[i].stats();
-    return stats;
-  }
-
-  // Decode/pack once; the packed engines stream the shared packed records
-  // with their few-KB working state cache-resident. One whole-stream feed
-  // through the accumulator is exactly the old one-shot bank sweep.
-  pack_stream(stream, packed_scratch);
-  BankAccumulator bank(configs, timing, resolved);
-  bank.feed(packed_scratch);
-  return bank.stats();
-}
-
-std::vector<CacheStats> measure_config_bank(
-    std::span<const CacheConfig> configs, std::span<const TraceRecord> stream,
-    const TimingParams& timing, ReplayEngine engine) {
-  std::vector<std::uint32_t> packed;
-  return measure_config_bank(configs, stream, timing, engine, packed);
-}
-
 std::vector<CacheStats> measure_geometry_bank(
     std::span<const CacheGeometry> geoms,
     std::span<const std::uint32_t> packed, const TimingParams& timing,
-    ReplayEngine engine, unsigned sweep_jobs) {
-  BankAccumulator bank(geoms, timing, engine, sweep_jobs);
+    unsigned sweep_jobs) {
+  BankAccumulator bank(geoms, timing, sweep_jobs);
   bank.feed(packed);
   return bank.stats();
-}
-
-std::vector<CacheStats> measure_geometry_bank(
-    std::span<const CacheGeometry> geoms, std::span<const TraceRecord> stream,
-    const TimingParams& timing, ReplayEngine engine, unsigned sweep_jobs) {
-  // Sub-16 B-line geometries cannot replay the packed stream the
-  // accumulator consumes; route them straight to the reference model over
-  // the raw records and let the accumulator sweep the rest.
-  std::vector<CacheGeometry> wide;
-  std::vector<std::size_t> wide_where;
-  std::vector<CacheStats> out(geoms.size());
-  for (std::size_t i = 0; i < geoms.size(); ++i) {
-    if (geoms[i].line_bytes >= 16) {
-      wide.push_back(geoms[i]);
-      wide_where.push_back(i);
-    } else {
-      CacheModel cache(geoms[i], timing);
-      out[i] = replay(cache, stream);
-    }
-  }
-  if (!wide.empty()) {
-    const std::vector<std::uint32_t> packed = pack_stream(stream);
-    const std::vector<CacheStats> stats =
-        measure_geometry_bank(wide, packed, timing, engine, sweep_jobs);
-    for (std::size_t j = 0; j < wide.size(); ++j) {
-      out[wide_where[j]] = stats[j];
-    }
-  }
-  return out;
 }
 
 }  // namespace stcache

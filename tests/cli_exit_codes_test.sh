@@ -88,6 +88,40 @@ expect 1 "tune on a corrupted file" "$TUNE" "$CORRUPT"
 expect 1 "tune with unwritable metrics path" \
     "$TUNE" "$GOOD" --exhaustive --jobs 1 --metrics-out /nonexistent/dir/m.json
 
+# Numeric flags are parsed strictly (whole token, no sign, bounded), with
+# the same "invalid value for FLAG" diagnostic the serving tools print.
+expect_invalid() {
+    desc=$1
+    flag=$2
+    value=$3
+    shift 3
+    expect 2 "$desc" "$@" "$flag" "$value"
+    if ! grep -q "^invalid value for $flag: '$value'" "$TMPDIR/err"; then
+        echo "FAIL: $desc: no 'invalid value for $flag' diagnostic" >&2
+        sed 's/^/  stderr: /' "$TMPDIR/err" >&2
+        failures=$((failures + 1))
+    fi
+}
+expect_invalid "tune with a non-numeric --scale" \
+    --scale abc "$TUNE" --phases squarewave
+expect_invalid "tune with --scale 0" --scale 0 "$TUNE" --phases squarewave
+expect_invalid "tune with a negative --jobs" \
+    --jobs -3 "$TUNE" --workload crc --exhaustive
+expect_invalid "tune with trailing junk in --jobs" \
+    --jobs 2x "$TUNE" --workload crc --exhaustive
+expect_invalid "tune with a non-numeric --sweep-jobs" \
+    --sweep-jobs abc "$TUNE" --workload crc --exhaustive
+expect_invalid "tune with --sweep-jobs 0" \
+    --sweep-jobs 0 "$TUNE" --workload crc --exhaustive
+expect_invalid "tune with --sweep-jobs above 32" \
+    --sweep-jobs 33 "$TUNE" --workload crc --exhaustive
+
+# Removed switches are unknown flags now (usage, exit 2) on every tool.
+expect 2 "tune rejects --engine" "$TUNE" --workload crc --engine fast
+expect 2 "tune rejects --pipeline" \
+    "$TUNE" --workload crc --pipeline materialized
+expect 2 "tune rejects --reader" "$TUNE" "$GOOD" --reader mmap
+
 # --- stcache_asm ------------------------------------------------------------
 
 expect 0 "asm prints a bundled workload" "$ASM" --workload crc
@@ -116,6 +150,10 @@ expect 2 "tuned with trailing junk in --max-inflight" \
     "$TUNED" --socket "$SOCK" --max-inflight 4x
 expect 1 "tuned with an unbindable socket path" \
     "$TUNED" --socket /nonexistent/dir/t.sock --max-sessions 1
+expect 2 "tuned rejects --engine" "$TUNED" --socket "$SOCK" --engine fast
+expect 2 "tuned rejects --pipeline" \
+    "$TUNED" --socket "$SOCK" --pipeline streaming
+expect 2 "tuned rejects --reader" "$TUNED" --socket "$SOCK" --reader mmap
 
 # --- stcache_tunec: strict flag validation + connect exit code --------------
 
@@ -127,6 +165,12 @@ expect 2 "tunec with a non-numeric retry count" \
     "$TUNEC" --socket "$SOCK" --workload crc --retries lots
 expect 2 "tunec with --backoff 0" \
     "$TUNEC" --socket "$SOCK" --workload crc --backoff 0
+expect 2 "tunec rejects --engine" \
+    "$TUNEC" --socket "$SOCK" --workload crc --engine fast
+expect 2 "tunec rejects --pipeline" \
+    "$TUNEC" --socket "$SOCK" --workload crc --pipeline materialized
+expect 2 "tunec rejects --reader" \
+    "$TUNEC" --socket "$SOCK" "$GOOD" --reader mmap
 expect 3 "tunec distinguishes connect-refused (exit 3)" \
     "$TUNEC" --socket "$SOCK" --workload crc
 

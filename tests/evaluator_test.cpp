@@ -4,8 +4,10 @@
 
 #include "core/evaluator.hpp"
 #include "core/heuristic.hpp"
+#include "trace/replay.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
+#include "workloads/workload.hpp"
 
 namespace stcache {
 namespace {
@@ -55,6 +57,24 @@ TEST(TraceEvaluator, StatsComeFromColdCaches) {
   a.energy(CacheConfig::parse("2K_1W_16B"));
   EXPECT_DOUBLE_EQ(a.energy(CacheConfig::parse("4K_1W_32B")),
                    b.energy(CacheConfig::parse("4K_1W_32B")));
+}
+
+// The records constructor packs at construction; it must measure exactly
+// what an evaluator over pack_stream of the same records measures.
+TEST(TraceEvaluator, RecordsAndPackedConstructorsAgree) {
+  EnergyModel model;
+  const SplitTrace split = split_trace(capture_trace(find_workload("crc")));
+  for (const Trace* stream : {&split.ifetch, &split.data}) {
+    const std::vector<std::uint32_t> packed = pack_stream(*stream);
+    TraceEvaluator from_records(*stream, model);
+    TraceEvaluator from_packed(std::span<const std::uint32_t>(packed), model);
+    for (const CacheConfig& cfg : all_configs()) {
+      EXPECT_EQ(from_records.stats(cfg), from_packed.stats(cfg)) << cfg.name();
+      EXPECT_EQ(from_records.energy(cfg), from_packed.energy(cfg))
+          << cfg.name();
+    }
+    EXPECT_EQ(from_records.evaluations(), 27u);
+  }
 }
 
 TEST(AscendingCandidates, SizeWalksUpward) {

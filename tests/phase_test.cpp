@@ -1,13 +1,13 @@
 // Phase subsystem tests: classifier boundary detection against ground
-// truth, slicing invariance, tuner timeline equivalence across replay
-// engines and shard counts, phase-table lookup semantics, and the
-// [phase] metrics gating convention.
+// truth, slicing invariance, tuner timeline equivalence against the
+// reference model and across shard counts, phase-table lookup semantics,
+// and the [phase] metrics gating convention.
 //
 // The determinism claims here are what repro.sh's `stcache_tune --phases`
 // cmp gates rely on: window signatures depend only on the concatenation
 // of the fed words (never the chunking), and bank stats are bit-identical
-// across engines and sweep_jobs, so the full tuning timeline — verdicts,
-// configs, distances — must be exactly equal, double for double.
+// to the reference model for any sweep_jobs, so the full tuning timeline —
+// verdicts, configs, distances — must be exactly equal, double for double.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,11 +16,14 @@
 #include <vector>
 
 #include "cache/config.hpp"
+#include "core/evaluator.hpp"
+#include "core/heuristic.hpp"
 #include "energy/energy_model.hpp"
 #include "phase/adaptive.hpp"
 #include "phase/classifier.hpp"
 #include "phase/scenario.hpp"
 #include "phase/table.hpp"
+#include "reference_replay.hpp"
 #include "trace/phase_mix.hpp"
 #include "trace/replay.hpp"
 #include "trace/synthetic.hpp"
@@ -156,13 +159,11 @@ TEST(PhaseClassifier, ChunkingInvariance) {
 }
 
 PhaseTunerParams tuner_params(bool distance_mapping = true,
-                              ReplayEngine engine = ReplayEngine::kDefault,
                               unsigned sweep_jobs = 0) {
   PhaseTunerParams p;
   p.classifier = test_params();
   p.sweep_windows = 2;
   p.distance_mapping = distance_mapping;
-  p.engine = engine;
   p.sweep_jobs = sweep_jobs;
   return p;
 }
@@ -198,27 +199,40 @@ void expect_same_timeline(const std::vector<PhaseRecord>& a,
 }
 
 // The full timeline — verdicts, configs, distances — must be exactly
-// equal across replay engines, shard counts, and feed chunkings.
+// equal across shard counts and feed chunkings, and every swept phase's
+// verdict must be the Fig. 6 walk over reference-model stats of the words
+// its bank measured (the phase's first swept_words words).
 TEST(PhaseAdaptiveTuner, TimelineEquivalenceAcrossEnginesAndJobs) {
   const PhaseMixedStream mix = square_mix(6, 6);
   const auto base = run_tuner(mix, tuner_params());
   ASSERT_FALSE(base.empty());
-  for (const ReplayEngine engine :
-       {ReplayEngine::kReference, ReplayEngine::kFast,
-        ReplayEngine::kOneshot}) {
-    expect_same_timeline(
-        base, run_tuner(mix, tuner_params(true, engine)),
-        std::string("engine ") + to_string(engine));
-  }
   for (const unsigned jobs : {1u, 3u}) {
-    expect_same_timeline(base,
-                         run_tuner(mix, tuner_params(true,
-                                                     ReplayEngine::kDefault,
-                                                     jobs)),
+    expect_same_timeline(base, run_tuner(mix, tuner_params(true, jobs)),
                          "sweep_jobs " + std::to_string(jobs));
   }
   expect_same_timeline(base, run_tuner(mix, tuner_params(), mix.words.size()),
                        "whole-stream feed");
+
+  const std::vector<CacheConfig>& configs = all_configs();
+  unsigned swept = 0;
+  for (const PhaseRecord& r : base) {
+    if (r.verdict != PhaseVerdict::kSwept) continue;
+    ++swept;
+    const auto words =
+        std::span<const std::uint32_t>(mix.words).subspan(r.begin,
+                                                          r.swept_words);
+    std::vector<CacheStats> ref;
+    for (const CacheConfig& cfg : configs) {
+      ref.push_back(reference_stats(cfg, words));
+    }
+    TraceEvaluator eval(std::span<const std::uint32_t>{}, test_model());
+    prime_all(eval, configs, ref);
+    const SearchResult verdict = tune(eval);
+    EXPECT_EQ(r.config, verdict.best) << "phase at " << r.begin;
+    EXPECT_EQ(r.configs_examined, verdict.configs_examined)
+        << "phase at " << r.begin;
+  }
+  EXPECT_GE(swept, 2u);
 }
 
 // Recurring behaviors must hit the phase table: with distance mapping the

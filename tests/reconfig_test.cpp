@@ -9,6 +9,9 @@
 //  * coherence: under the default policy no dirty line is ever unreachable.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "cache/configurable_cache.hpp"
 #include "util/rng.hpp"
 
@@ -33,8 +36,10 @@ std::vector<std::uint32_t> warm(ConfigurableCache& c, std::uint64_t seed,
 
 // --- associativity increases (Figure 5a) -----------------------------------
 
+// Parameters are std::string, not const char*: the printed parameter names
+// the test, and a printed pointer would put a per-process address in it.
 class AssocIncreaseTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(AssocIncreaseTest, PreservesAllHitsAtZeroCost) {
   auto [from, to] = GetParam();
@@ -65,7 +70,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- line-size changes are always free --------------------------------------
 
 class LineChangeTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(LineChangeTest, PreservesAllHitsAtZeroCost) {
   auto [from, to] = GetParam();

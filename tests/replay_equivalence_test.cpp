@@ -1,13 +1,13 @@
-// Differential equivalence suite for the replay engines.
+// Differential equivalence suite for the replay kernels.
 //
-// The fast engine (cache/fast_cache.hpp) and the oneshot engine
-// (cache/stack_sweep.hpp) are only allowed to exist because they are
-// bit-identical to the behavioral reference: for every legal
-// configuration, both write policies, and victim buffer on/off, replaying
-// the same stream must produce the exact same CacheStats — every counter,
-// not just miss rates. This is the guarantee that lets every figure bench
-// default to --engine=oneshot while the paper's numbers stay attributable
-// to the reference model.
+// The fast sims (cache/fast_cache.hpp, FastGeomSim) and the single-pass
+// sweep kernels (cache/stack_sweep.hpp, cache/nested_sweep.hpp) behind
+// BankAccumulator are only allowed to exist because they are bit-identical
+// to the behavioral references: for every legal configuration, both write
+// policies, and victim buffer on/off, replaying the same stream must
+// produce the exact same CacheStats — every counter, not just miss rates.
+// This is the guarantee that lets every figure bench measure through the
+// bank while the paper's numbers stay attributable to the reference model.
 //
 // Streams: bounded prefixes of three real captured workloads (instruction
 // + data mix, so loads, stores, and fetches all appear) plus adversarial
@@ -26,6 +26,7 @@
 
 #include "cache/config.hpp"
 #include "core/scaled_space.hpp"
+#include "reference_replay.hpp"
 #include "trace/replay.hpp"
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"
@@ -75,22 +76,17 @@ const std::vector<std::pair<std::string, Trace>>& adversarial_streams() {
   return *streams;
 }
 
+// FastCacheSim against ConfigurableCache, per configuration, under both
+// write policies and victim buffer off/on.
 void expect_identical(std::span<const TraceRecord> stream,
                       const std::string& stream_name) {
+  const std::vector<std::uint32_t> packed = pack_stream(stream);
   for (const CacheConfig& cfg : all_configs()) {
     for (const WritePolicy wp :
          {WritePolicy::kWriteBack, WritePolicy::kWriteThrough}) {
       for (const std::uint32_t victim_entries : {0u, 8u}) {
-        ReplayParams params;
-        params.write_policy = wp;
-        params.victim_entries = victim_entries;
-
-        params.engine = ReplayEngine::kReference;
-        const CacheStats ref = measure_config_ex(cfg, stream, params);
-        params.engine = ReplayEngine::kFast;
-        const CacheStats fast = measure_config_ex(cfg, stream, params);
-
-        EXPECT_EQ(ref, fast)
+        EXPECT_EQ(reference_stats(cfg, stream, {}, wp, victim_entries),
+                  fast_stats(cfg, packed, {}, wp, victim_entries))
             << stream_name << " x " << cfg.name() << " wp="
             << (wp == WritePolicy::kWriteBack ? "WB" : "WT")
             << " victim=" << victim_entries;
@@ -113,124 +109,119 @@ TEST(ReplayEquivalence, SyntheticUniformThrash) {
   expect_identical(synthetic_stream(), "uniform64k");
 }
 
-// Non-default timing must flow through both engines identically (the miss
-// stall is precomputed per configuration on the fast path).
-TEST(ReplayEquivalence, CustomTiming) {
+TimingParams custom_timing() {
   TimingParams timing;
   timing.hit_cycles = 2;
   timing.mispredict_penalty = 3;
   timing.victim_hit_penalty = 5;
   timing.mem_latency = 41;
   timing.cycles_per_beat = 7;
+  return timing;
+}
+
+// Non-default timing must flow through both models identically (the miss
+// stall is precomputed per configuration on the fast path).
+TEST(ReplayEquivalence, CustomTiming) {
+  const TimingParams timing = custom_timing();
   const std::span<const TraceRecord> stream = workload_prefix("crc");
+  const std::vector<std::uint32_t> packed = pack_stream(stream);
   for (const CacheConfig& cfg : all_configs()) {
-    ReplayParams params;
-    params.timing = timing;
-    params.victim_entries = 4;
-    params.engine = ReplayEngine::kReference;
-    const CacheStats ref = measure_config_ex(cfg, stream, params);
-    params.engine = ReplayEngine::kFast;
-    const CacheStats fast = measure_config_ex(cfg, stream, params);
-    EXPECT_EQ(ref, fast) << "crc x " << cfg.name() << " custom timing";
+    EXPECT_EQ(reference_stats(cfg, stream, timing, WritePolicy::kWriteBack, 4),
+              fast_stats(cfg, packed, timing, WritePolicy::kWriteBack, 4))
+        << "crc x " << cfg.name() << " custom timing";
   }
 }
 
-// The bank path must equal per-config measurement under every engine.
-// (Per-config measurement resolves kOneshot to the fast kernel, so the
-// kOneshot row proves the stack-distance traversal against FastCacheSim.)
+// The bank against per-configuration reference replay, fed whole on one
+// shard and in uneven chunks on four: every grouping (stack-sweep groups
+// and fast-sim singletons) and every feed shape must reproduce the
+// reference exactly.
+void expect_bank_identical(std::span<const CacheConfig> configs,
+                           std::span<const TraceRecord> stream,
+                           const std::string& stream_name,
+                           const TimingParams& timing = {}) {
+  const std::vector<std::uint32_t> packed = pack_stream(stream);
+  const std::vector<CacheStats> serial =
+      feed_stats(BankAccumulator(configs, timing, 1), packed);
+  const std::vector<CacheStats> sharded =
+      feed_stats(BankAccumulator(configs, timing, 4), packed, 4097);
+  ASSERT_EQ(serial.size(), configs.size());
+  ASSERT_EQ(sharded.size(), configs.size());
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const CacheStats ref = reference_stats(configs[c], stream, timing);
+    EXPECT_EQ(ref, serial[c]) << stream_name << " x " << configs[c].name();
+    EXPECT_EQ(ref, sharded[c])
+        << stream_name << " x " << configs[c].name() << " sharded, chunked";
+  }
+}
+
+// Partial banks exercise the groupings the full space never forms: a
+// singleton line size (fast-sim fallback) next to a swept group.
 TEST(ReplayEquivalence, BankMatchesPerConfig) {
   const std::span<const TraceRecord> stream = workload_prefix("bcnt");
-  const std::vector<CacheConfig>& configs = all_configs();
-  for (const ReplayEngine engine :
-       {ReplayEngine::kReference, ReplayEngine::kFast, ReplayEngine::kOneshot}) {
-    const std::vector<CacheStats> bank =
-        measure_config_bank(configs, stream, {}, engine);
-    ASSERT_EQ(bank.size(), configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      EXPECT_EQ(bank[c], measure_config(configs[c], stream, {}, engine))
-          << configs[c].name() << " engine=" << to_string(engine);
-    }
-  }
+  expect_bank_identical(all_configs(), stream, "bcnt");
+  const std::vector<CacheConfig> partial = {
+      CacheConfig::parse("8K_4W_64B_P"), CacheConfig::parse("2K_1W_16B"),
+      CacheConfig::parse("4K_2W_16B_P"), CacheConfig::parse("8K_1W_16B")};
+  expect_bank_identical(partial, stream, "bcnt partial");
 }
 
-// The oneshot bank must be bit-identical to the reference bank over the
-// full configuration space, on real workloads and on the adversarial
-// synthetics designed to break a shared-stack argument.
-void expect_bank_identical(std::span<const TraceRecord> stream,
-                           const std::string& stream_name) {
-  const std::vector<CacheConfig>& configs = all_configs();
-  const std::vector<CacheStats> ref =
-      measure_config_bank(configs, stream, {}, ReplayEngine::kReference);
-  const std::vector<CacheStats> oneshot =
-      measure_config_bank(configs, stream, {}, ReplayEngine::kOneshot);
-  ASSERT_EQ(ref.size(), oneshot.size());
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    EXPECT_EQ(ref[c], oneshot[c])
-        << stream_name << " x " << configs[c].name() << " oneshot bank";
-  }
-}
-
+// The full-space bank must be bit-identical to the reference on real
+// workloads and on the adversarial synthetics designed to break a
+// shared-stack argument.
 TEST(ReplayEquivalence, OneshotBankCrc) {
-  expect_bank_identical(workload_prefix("crc"), "crc");
+  expect_bank_identical(all_configs(), workload_prefix("crc"), "crc");
 }
 
 TEST(ReplayEquivalence, OneshotBankUcbqsort) {
-  expect_bank_identical(workload_prefix("ucbqsort"), "ucbqsort");
+  expect_bank_identical(all_configs(), workload_prefix("ucbqsort"),
+                        "ucbqsort");
 }
 
 TEST(ReplayEquivalence, OneshotBankAdversarial) {
-  expect_bank_identical(synthetic_stream(), "uniform64k");
+  expect_bank_identical(all_configs(), synthetic_stream(), "uniform64k");
   for (const auto& [name, trace] : adversarial_streams()) {
-    expect_bank_identical(trace, name);
+    expect_bank_identical(all_configs(), trace, name);
   }
 }
 
-// Non-default timing through the bank path: the oneshot kernel derives
-// cycle/stall totals from its histogram at stats() time, which must match
-// the fast engine's per-access accumulation for any TimingParams.
+// Non-default timing through the bank: the sweep kernel derives cycle and
+// stall totals from its histogram at stats() time, which must match the
+// reference's per-access accumulation for any TimingParams.
 TEST(ReplayEquivalence, OneshotBankCustomTiming) {
-  TimingParams timing;
-  timing.hit_cycles = 2;
-  timing.mispredict_penalty = 3;
-  timing.victim_hit_penalty = 5;
-  timing.mem_latency = 41;
-  timing.cycles_per_beat = 7;
-  const std::span<const TraceRecord> stream = workload_prefix("crc");
-  const std::vector<CacheConfig>& configs = all_configs();
-  const std::vector<CacheStats> fast =
-      measure_config_bank(configs, stream, timing, ReplayEngine::kFast);
-  const std::vector<CacheStats> oneshot =
-      measure_config_bank(configs, stream, timing, ReplayEngine::kOneshot);
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    EXPECT_EQ(fast[c], oneshot[c]) << configs[c].name() << " custom timing";
-  }
+  expect_bank_identical(all_configs(), workload_prefix("crc"), "crc",
+                        custom_timing());
 }
 
 // The generalized geometry bank: a scaled space replayed through
-// NestedSweepSim (oneshot, one nested traversal per line-size family),
-// FastGeomSim (fast, per geometry) and CacheModel (reference) must be
-// bit-identical per geometry — the same contract the platform bank keeps,
-// extended to arbitrary generic geometries.
+// BankAccumulator (one NestedSweepSim traversal per line-size family,
+// serial whole feed and sharded chunked feed) and through one FastGeomSim
+// per geometry must be bit-identical to CacheModel replay per geometry —
+// the same contract the platform bank keeps, extended to arbitrary generic
+// geometries.
+void expect_scaled_bank_identical(std::span<const CacheGeometry> geoms,
+                                  std::span<const TraceRecord> stream,
+                                  const std::string& stream_name) {
+  const std::vector<std::uint32_t> packed = pack_stream(stream);
+  const std::vector<CacheStats> serial =
+      feed_stats(BankAccumulator(geoms, {}, 1), packed);
+  const std::vector<CacheStats> sharded =
+      feed_stats(BankAccumulator(geoms, {}, 3), packed, 4097);
+  ASSERT_EQ(serial.size(), geoms.size());
+  ASSERT_EQ(sharded.size(), geoms.size());
+  for (std::size_t c = 0; c < geoms.size(); ++c) {
+    const CacheStats ref = reference_stats(geoms[c], stream);
+    const std::string what = stream_name + " x " + geometry_name(geoms[c]);
+    EXPECT_EQ(ref, serial[c]) << what << " bank";
+    EXPECT_EQ(ref, sharded[c]) << what << " bank, sharded, chunked";
+    EXPECT_EQ(ref, fast_stats(geoms[c], packed)) << what << " fast";
+  }
+}
+
 void expect_scaled_bank_identical(std::span<const TraceRecord> stream,
                                   const std::string& stream_name) {
   const ScaledSpace space = ScaledSpace::embedded_32k();
-  const std::vector<CacheGeometry>& geoms = space.configs();
-  const std::vector<CacheStats> ref =
-      measure_geometry_bank(geoms, stream, {}, ReplayEngine::kReference);
-  const std::vector<CacheStats> fast =
-      measure_geometry_bank(geoms, stream, {}, ReplayEngine::kFast);
-  const std::vector<CacheStats> oneshot =
-      measure_geometry_bank(geoms, stream, {}, ReplayEngine::kOneshot);
-  ASSERT_EQ(ref.size(), geoms.size());
-  for (std::size_t c = 0; c < geoms.size(); ++c) {
-    EXPECT_EQ(ref[c], oneshot[c])
-        << stream_name << " x " << geometry_name(geoms[c]) << " oneshot";
-    EXPECT_EQ(ref[c], fast[c])
-        << stream_name << " x " << geometry_name(geoms[c]) << " fast";
-    EXPECT_EQ(oneshot[c], measure_geometry(geoms[c], stream, {},
-                                           ReplayEngine::kReference))
-        << stream_name << " x " << geometry_name(geoms[c]) << " per-geometry";
-  }
+  expect_scaled_bank_identical(space.configs(), stream, stream_name);
 }
 
 TEST(ReplayEquivalence, ScaledBankCrc) {
@@ -248,65 +239,22 @@ TEST(ReplayEquivalence, ScaledBankAdversarial) {
   }
 }
 
-// Fallback matrix: a single-(size,ways) line family bypasses the nested
-// traversal (FastGeomSim singleton), and sub-16 B lines cannot be replayed
-// from packed words at all — the records overload routes them to the
-// reference model, the packed overload refuses them.
-TEST(ReplayEquivalence, ScaledBankSingletonAndSubLineFallback) {
-  const std::span<const TraceRecord> stream = workload_prefix("bcnt");
+// A single-(size, ways) line family bypasses the nested traversal
+// (FastGeomSim singleton) next to a swept family; sub-16 B lines cannot be
+// replayed from packed 16 B-block words at all, so a geometry bank refuses
+// them rather than alias two lines per word.
+TEST(ReplayEquivalence, ScaledBankSingletonFallbackAndSubLineRejection) {
   const std::vector<CacheGeometry> geoms = {
-      CacheGeometry{2048, 1, 8},     // 8 B line: reference-only
       CacheGeometry{4096, 1, 16},    // }
       CacheGeometry{8192, 2, 16},    // } 16 B family, nested traversal
       CacheGeometry{32768, 4, 128},  // 128 B singleton family
   };
-  const std::vector<CacheStats> bank =
-      measure_geometry_bank(geoms, stream, {}, ReplayEngine::kOneshot);
-  ASSERT_EQ(bank.size(), geoms.size());
-  for (std::size_t c = 0; c < geoms.size(); ++c) {
-    EXPECT_EQ(bank[c], measure_geometry(geoms[c], stream, {},
-                                        ReplayEngine::kReference))
-        << geometry_name(geoms[c]);
-  }
-  // Packed replay has 16 B granularity: an 8 B-line geometry must throw
-  // rather than alias two lines per word.
-  const std::vector<std::uint32_t> packed = pack_stream(stream);
-  EXPECT_THROW(
-      measure_geometry_packed(CacheGeometry{2048, 1, 8}, packed), Error);
-  EXPECT_THROW(measure_geometry_bank(geoms, std::span<const std::uint32_t>(
-                                                packed)),
-               Error);
-}
-
-// The scratch-buffer overload is a pure allocation optimization: repeated
-// banks through one buffer must return the same stats as the plain call.
-TEST(ReplayEquivalence, BankScratchOverload) {
-  const std::span<const TraceRecord> stream = workload_prefix("bcnt");
-  const std::vector<CacheConfig>& configs = all_configs();
-  std::vector<std::uint32_t> scratch;
-  for (const ReplayEngine engine :
-       {ReplayEngine::kFast, ReplayEngine::kOneshot}) {
-    const std::vector<CacheStats> plain =
-        measure_config_bank(configs, stream, {}, engine);
-    const std::vector<CacheStats> reused =
-        measure_config_bank(configs, stream, {}, engine, scratch);
-    EXPECT_EQ(plain, reused) << to_string(engine);
-    EXPECT_EQ(scratch.size(), stream.size());
-  }
-}
-
-// The engine selector: kDefault resolves to the process default, which is
-// oneshot unless overridden.
-TEST(ReplayEquivalence, EngineSelector) {
-  EXPECT_EQ(default_replay_engine(), ReplayEngine::kOneshot);
-  set_default_replay_engine(ReplayEngine::kReference);
-  EXPECT_EQ(default_replay_engine(), ReplayEngine::kReference);
-  set_default_replay_engine(ReplayEngine::kDefault);  // reset
-  EXPECT_EQ(default_replay_engine(), ReplayEngine::kOneshot);
-  EXPECT_EQ(parse_replay_engine("fast"), ReplayEngine::kFast);
-  EXPECT_EQ(parse_replay_engine("reference"), ReplayEngine::kReference);
-  EXPECT_EQ(parse_replay_engine("oneshot"), ReplayEngine::kOneshot);
-  EXPECT_THROW(parse_replay_engine("warp"), Error);
+  expect_scaled_bank_identical(geoms, workload_prefix("bcnt"), "bcnt");
+  const std::vector<CacheGeometry> sub_line = {CacheGeometry{2048, 1, 8}};
+  EXPECT_THROW(BankAccumulator{sub_line}, Error);
+  std::vector<CacheGeometry> mixed = geoms;
+  mixed.push_back(sub_line.front());
+  EXPECT_THROW(BankAccumulator{mixed}, Error);
 }
 
 }  // namespace

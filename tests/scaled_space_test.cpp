@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "core/scaled_space.hpp"
+#include "trace/replay.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
+#include "workloads/workload.hpp"
 
 namespace stcache {
 namespace {
@@ -90,6 +92,24 @@ TEST(ScaledSpace, PrimeMatchesOnDemandEnergies) {
   // prime() on an already-primed evaluator is a no-op, not a re-measure.
   primed.prime(space);
   EXPECT_EQ(primed.evaluations(), space.total_configs());
+}
+
+// The records constructor packs at construction; it must measure exactly
+// what an evaluator over pack_stream of the same records measures.
+TEST(ScaledSpace, RecordsAndPackedEvaluatorsAgree) {
+  EnergyModel model;
+  const ScaledSpace space = ScaledSpace::embedded_32k();
+  const SplitTrace split = split_trace(capture_trace(find_workload("crc")));
+  for (const Trace* stream : {&split.ifetch, &split.data}) {
+    const std::vector<std::uint32_t> packed = pack_stream(*stream);
+    ScaledEvaluator from_records(*stream, model);
+    ScaledEvaluator from_packed(std::span<const std::uint32_t>(packed), model);
+    for (const CacheGeometry& g : space.configs()) {
+      EXPECT_EQ(from_records.energy(g), from_packed.energy(g))
+          << geometry_name(g);
+    }
+    EXPECT_EQ(from_records.evaluations(), space.total_configs());
+  }
 }
 
 TEST(ScaledTune, ExaminesFarFewerThanExhaustive) {

@@ -89,7 +89,6 @@ SOCK="$TMPDIR/t.sock"
 expect 2 "tunec with no arguments" "$TUNEC"
 expect 2 "tunec without --socket" "$TUNEC" --workload crc
 expect 2 "tunec with unknown flag" "$TUNEC" --socket "$SOCK" --workload crc --frobnicate
-expect 2 "tunec with bad pipeline" "$TUNEC" --socket "$SOCK" --workload crc --pipeline turbo
 expect 2 "tunec with bad probe" "$TUNEC" --socket "$SOCK" --probe frobnicate
 expect 2 "tunec with probe and workload at once" "$TUNEC" --socket "$SOCK" --probe empty --workload crc
 expect 2 "tuned without --socket" "$TUNED"
@@ -125,8 +124,8 @@ check "file-mode verdict matches workload mode" \
     cmp -s "$TMPDIR/remote_file.txt" "$TMPDIR/local.txt"
 
 # Session 4 of 4: the daemon must now exit 0 on its own.
-expect 0 "materialized pipeline against the daemon" \
-    "$TUNEC" --socket "$SOCK" --workload crc D --pipeline materialized
+expect 0 "tunec streams the data side" \
+    "$TUNEC" --socket "$SOCK" --workload crc D
 wait "$DAEMON_PID"
 code=$?
 check "daemon exits 0 after --max-sessions" [ "$code" -eq 0 ]

@@ -1,14 +1,16 @@
-// Determinism suite for the set-partitioned parallel oneshot sweep
+// Determinism suite for the set-partitioned parallel sweep
 // (trace/replay.hpp, BankAccumulator sweep_jobs).
 //
 // The parallel sweep is only allowed to exist because its merge is EXACT:
 // for any shard count, any feed chunking, and either SIMD flavor, the
 // bank's stats() must be bit-identical — every CacheStats counter — to
-// the serial sweep of the same stream. The partition key (bits 2..6 of
-// the 16 B block number) is a whole-set split for every one of the 27
-// configurations, so each shard replays a closed sub-trace and the
-// per-group Totals add without interaction; these tests enforce that
-// claim on real workload streams (instruction AND data sides) and on
+// the serial sweep of the same stream (which the equivalence suite pins to
+// the reference models). The partition key (bits 2..6 of the 16 B block
+// number for the 27-config bank, asserted below) is a whole-set split for
+// every one of the 27 configurations, so each shard replays a closed
+// sub-trace and the per-group Totals add without interaction; these tests
+// enforce that claim on real workload streams (instruction AND data sides)
+// and on
 // adversarial synthetics chosen to stress the scatter (single-partition
 // strided scans, pointer chases, tight loops).
 //
@@ -69,7 +71,7 @@ std::vector<std::uint32_t> pack(const Trace& t) {
 
 // Serial ground truth: one bank, jobs = 1, single feed.
 std::vector<CacheStats> serial_stats(std::span<const std::uint32_t> packed) {
-  BankAccumulator bank(all_configs(), {}, ReplayEngine::kOneshot, 1);
+  BankAccumulator bank(all_configs(), {}, 1);
   bank.feed(packed);
   return bank.stats();
 }
@@ -79,7 +81,7 @@ void expect_sharded_identical(std::span<const std::uint32_t> packed,
   const std::vector<CacheStats> serial = serial_stats(packed);
   // 7 exercises uneven partition ownership (32 partitions split 5/5/5/5/4/4/4).
   for (const unsigned jobs : {2u, 4u, 7u, 32u}) {
-    BankAccumulator bank(all_configs(), {}, ReplayEngine::kOneshot, jobs);
+    BankAccumulator bank(all_configs(), {}, jobs);
     bank.feed(packed);
     const std::vector<CacheStats> sharded = bank.stats();
     ASSERT_EQ(sharded.size(), serial.size());
@@ -98,9 +100,41 @@ TEST(ShardedSweep, PartitionCountIsSanePowerOfTwo) {
   EXPECT_EQ(p & (p - 1), 0u) << "partition count must be a power of two";
 }
 
+// The key derivation shared by both bank kinds must land on bits 2..6 of
+// the block number with 32 partitions for the full platform bank. The
+// imbalance line reports the partition count and the per-shard record
+// counts; with four shards, shard = partition % 4 = the two lowest key
+// bits. A stream whose blocks agree on bits 2..3 (and differ everywhere
+// else) must land on one shard, and one that walks bits 2..3 must spread
+// evenly — which holds only when the key starts at bit 2.
+TEST(ShardedSweep, PlatformBankKeyIsBits2To6With32Partitions) {
+  if (sweep_partitions() != 32) GTEST_SKIP() << "STCACHE_SWEEP_PARTITIONS set";
+  const auto shard_line = [](std::span<const std::uint32_t> words) {
+    const bool was = metrics_enabled();
+    set_metrics_enabled(true);
+    BankAccumulator bank(all_configs(), {}, 4);
+    bank.feed(words);
+    testing::internal::CaptureStderr();
+    bank.stats();
+    set_metrics_enabled(was);
+    return testing::internal::GetCapturedStderr();
+  };
+  std::vector<std::uint32_t> outside, inside;
+  for (std::uint32_t i = 0; i < 1024; ++i) {
+    outside.push_back((i & 3u) | ((i >> 2) << 4));  // bits 2..3 fixed
+    inside.push_back(((i & 3u) << 2) | ((i >> 2) << 4));  // bits 2..3 walk
+  }
+  EXPECT_NE(shard_line(outside).find("partitions=32 max=1024 mean=256 "),
+            std::string::npos)
+      << shard_line(outside);
+  EXPECT_NE(shard_line(inside).find("partitions=32 max=256 mean=256 "),
+            std::string::npos)
+      << shard_line(inside);
+}
+
 TEST(ShardedSweep, JobsClampToPartitions) {
   const PackedWorkload& w = packed_workload("crc");
-  BankAccumulator bank(all_configs(), {}, ReplayEngine::kOneshot, 1000);
+  BankAccumulator bank(all_configs(), {}, 1000);
   EXPECT_LE(bank.sweep_jobs(), sweep_partitions());
   bank.feed(w.ifetch);
   const std::vector<CacheStats> sharded = bank.stats();
@@ -119,10 +153,10 @@ TEST(ShardedSweep, DefaultIsSerial) {
 
 TEST(ShardedSweep, SetDefaultSweepJobsIsPickedUp) {
   set_default_sweep_jobs(4);
-  BankAccumulator bank(all_configs(), {}, ReplayEngine::kOneshot);
+  BankAccumulator bank(all_configs());
   EXPECT_EQ(bank.sweep_jobs(), std::min(4u, sweep_partitions()));
   set_default_sweep_jobs(0);  // back to the environment default
-  BankAccumulator serial(all_configs(), {}, ReplayEngine::kOneshot);
+  BankAccumulator serial(all_configs());
   EXPECT_EQ(serial.sweep_jobs(), 1u);
 }
 
@@ -147,7 +181,7 @@ TEST(ShardedSweep, ChunkedFeedMatchesSingleFeed) {
   const std::vector<CacheStats> serial = serial_stats(packed);
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{37},
                                   std::size_t{4096}, std::size_t{65'536}}) {
-    BankAccumulator bank(all_configs(), {}, ReplayEngine::kOneshot, 4);
+    BankAccumulator bank(all_configs(), {}, 4);
     for (std::size_t off = 0; off < packed.size(); off += chunk) {
       bank.feed(packed.subspan(off, std::min(chunk, packed.size() - off)));
     }
@@ -206,11 +240,11 @@ TEST(ShardedSweep, ScaledBankShardsBitIdentical) {
     const PackedWorkload& w = packed_workload(name);
     for (const auto* stream : {&w.ifetch, &w.data}) {
       const std::span<const std::uint32_t> packed = *stream;
-      BankAccumulator serial_bank(geoms, {}, ReplayEngine::kOneshot, 1);
+      BankAccumulator serial_bank(geoms, {}, 1);
       serial_bank.feed(packed);
       const std::vector<CacheStats> serial = serial_bank.stats();
       for (const unsigned jobs : {2u, 3u, 4u}) {
-        BankAccumulator bank(geoms, {}, ReplayEngine::kOneshot, jobs);
+        BankAccumulator bank(geoms, {}, jobs);
         // Chunked feed: boundaries never align with partitions.
         const std::size_t chunk = 4097;
         for (std::size_t off = 0; off < packed.size(); off += chunk) {
@@ -232,7 +266,7 @@ TEST(ShardedSweep, ScaledBankShardsBitIdentical) {
 TEST(ShardedSweep, TinyStreams) {
   const std::vector<CacheConfig>& configs = all_configs();
   {
-    BankAccumulator bank(configs, {}, ReplayEngine::kOneshot, 4);
+    BankAccumulator bank(configs, {}, 4);
     bank.feed({});
     const std::vector<CacheStats> stats = bank.stats();
     for (const CacheStats& s : stats) EXPECT_EQ(s.accesses, 0u);
@@ -244,7 +278,7 @@ TEST(ShardedSweep, TinyStreams) {
   for (std::size_t n : {std::size_t{1}, tiny.size()}) {
     const std::span<const std::uint32_t> s(tiny.data(), n);
     const std::vector<CacheStats> serial = serial_stats(s);
-    BankAccumulator bank(configs, {}, ReplayEngine::kOneshot, 32);
+    BankAccumulator bank(configs, {}, 32);
     bank.feed(s);
     const std::vector<CacheStats> sharded = bank.stats();
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -260,7 +294,7 @@ TEST(ShardedSweep, ImbalanceMetricBehindMetricsFlag) {
 
   set_metrics_enabled(false);
   {
-    BankAccumulator bank(all_configs(), {}, ReplayEngine::kOneshot, 4);
+    BankAccumulator bank(all_configs(), {}, 4);
     bank.feed(w.ifetch);
     testing::internal::CaptureStderr();
     bank.stats();
@@ -270,7 +304,7 @@ TEST(ShardedSweep, ImbalanceMetricBehindMetricsFlag) {
 
   set_metrics_enabled(true);
   {
-    BankAccumulator bank(all_configs(), {}, ReplayEngine::kOneshot, 4);
+    BankAccumulator bank(all_configs(), {}, 4);
     bank.feed(w.ifetch);
     testing::internal::CaptureStderr();
     bank.stats();
@@ -282,7 +316,7 @@ TEST(ShardedSweep, ImbalanceMetricBehindMetricsFlag) {
   }
   {
     // Serial bank: no imbalance line even with metrics on.
-    BankAccumulator bank(all_configs(), {}, ReplayEngine::kOneshot, 1);
+    BankAccumulator bank(all_configs(), {}, 1);
     bank.feed(w.ifetch);
     testing::internal::CaptureStderr();
     bank.stats();
@@ -296,7 +330,7 @@ TEST(ShardedSweep, ImbalanceMetricBehindMetricsFlag) {
 TEST(ShardedSweep, MoveSemantics) {
   const PackedWorkload& w = packed_workload("crc");
   const std::vector<CacheStats> serial = serial_stats(w.ifetch);
-  BankAccumulator a(all_configs(), {}, ReplayEngine::kOneshot, 4);
+  BankAccumulator a(all_configs(), {}, 4);
   a.feed(std::span<const std::uint32_t>(w.ifetch.data(), w.ifetch.size() / 2));
   BankAccumulator b = std::move(a);
   b.feed(std::span<const std::uint32_t>(w.ifetch)

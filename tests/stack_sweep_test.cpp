@@ -1,7 +1,7 @@
 // Direct and property-based tests for the oneshot stack-distance kernel.
 //
 // The differential suite (replay_equivalence_test.cpp) proves StackSweepSim
-// bit-identical to the other engines through the bank API. This file tests
+// bit-identical to the reference model through the bank API. This file tests
 // the kernel itself: the Mattson stack property that makes a single-pass
 // sweep sound in the first place, and the constructor/stats contract for
 // partial, prediction-only and duplicated banks.
@@ -30,8 +30,9 @@
 #include "cache/config.hpp"
 #include "cache/nested_sweep.hpp"
 #include "cache/stack_sweep.hpp"
-#include "core/scaled_space.hpp"
 #include "cache/stats.hpp"
+#include "core/scaled_space.hpp"
+#include "reference_replay.hpp"
 #include "trace/replay.hpp"
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"
@@ -109,10 +110,10 @@ TEST(StackSweepProperty, NestedMasksAndHitCounts) {
   }
 
   // A (S, W) LRU cache hits iff stack distance < W: compare the oracle's
-  // counts with the kernel (and, transitively, the fast engine — the
+  // counts with the kernel (and, transitively, the fast sim — the
   // equivalence suite already pins those two together).
-  const std::vector<CacheStats> bank = measure_config_bank(
-      all_configs(), trace, {}, ReplayEngine::kOneshot);
+  const std::vector<CacheStats> bank =
+      feed_stats(BankAccumulator(all_configs()), pack_stream(trace));
   const std::vector<CacheConfig>& configs = all_configs();
   auto stats_of = [&](const char* name) -> const CacheStats& {
     const CacheConfig want = CacheConfig::parse(name);
@@ -135,15 +136,14 @@ TEST(StackSweepProperty, NestedMasksAndHitCounts) {
   EXPECT_EQ(stats_of("8K_4W_16B_P").pred_first_hits, mru128);
   EXPECT_EQ(stats_of("8K_2W_16B_P").pred_first_hits, mru256);
 
-  // And the fast engine agrees with the oracle independently.
-  EXPECT_EQ(measure_config(CacheConfig::parse("4K_2W_16B_P"), trace, {},
-                           ReplayEngine::kFast)
+  // And the fast sim agrees with the oracle independently.
+  EXPECT_EQ(fast_stats(CacheConfig::parse("4K_2W_16B_P"), pack_stream(trace))
                 .pred_first_hits,
             mru128);
 }
 
 // ---------------------------------------------------------------------------
-// The same Mattson property for the generalized engine: randomized nested
+// The same Mattson property for the generalized kernel: randomized nested
 // families (3-6 set-count levels, non-power-of-two geometry counts) over
 // generic CacheGeometry spaces. The oracle runs at line granularity — a
 // (sets, ways) LRU cache of line-sized blocks hits iff the per-set stack
@@ -224,8 +224,7 @@ void expect_matches_fast(std::span<const CacheConfig> bank, const Trace& trace,
   StackSweepSim sweep(bank, timing);
   sweep.replay(packed_stream(trace));
   for (const CacheConfig& cfg : bank) {
-    EXPECT_EQ(sweep.stats(cfg),
-              measure_config(cfg, trace, timing, ReplayEngine::kFast))
+    EXPECT_EQ(sweep.stats(cfg), fast_stats(cfg, packed_stream(trace), timing))
         << cfg.name();
   }
 }

@@ -14,6 +14,7 @@
 
 #include "cache/config.hpp"
 #include "isa/assembler.hpp"
+#include "reference_replay.hpp"
 #include "sim/fast_cpu.hpp"
 #include "trace/replay.hpp"
 #include "trace/stream.hpp"
@@ -181,29 +182,42 @@ TEST(StreamWorkload, ConsumerExceptionAbandonsCleanly) {
 
 // --- incremental bank accumulation ------------------------------------------
 
+// Chunked feeding (the streaming pipeline's shape) must reproduce the
+// reference for every kernel: the bank's stack sweeps and fast-sim
+// singletons, and a FastCacheSim fed directly.
 TEST(BankAccumulator, ChunkedFeedMatchesOneShotForEveryEngine) {
   const Workload& w = find_workload("crc");
   const PackedCapture cap = capture_packed(w);
   const std::vector<CacheConfig>& configs = all_configs();
-  for (const ReplayEngine engine :
-       {ReplayEngine::kReference, ReplayEngine::kFast, ReplayEngine::kOneshot}) {
-    BankAccumulator oneshot(configs, {}, engine);
-    oneshot.feed(cap.ifetch);
-    const std::vector<CacheStats> expect = oneshot.stats();
-
-    BankAccumulator chunked(configs, {}, engine);
-    const std::span<const std::uint32_t> words(cap.ifetch);
+  const std::span<const std::uint32_t> words(cap.ifetch);
+  const auto for_each_chunk = [&](auto&& fn) {
     for (std::size_t at = 0; at < words.size(); at += 1237) {
-      chunked.feed(words.subspan(at, std::min<std::size_t>(1237, words.size() - at)));
+      fn(words.subspan(at, std::min<std::size_t>(1237, words.size() - at)));
     }
-    EXPECT_EQ(chunked.words_fed(), words.size());
-    const std::vector<CacheStats> got = chunked.stats();
-    ASSERT_EQ(got.size(), expect.size());
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-      EXPECT_EQ(got[i], expect[i])
-          << to_string(engine) << " config " << configs[i].name();
-    }
+  };
+
+  const std::vector<CacheStats> whole =
+      feed_stats(BankAccumulator(configs), words);
+  BankAccumulator bank(configs);
+  const std::vector<CacheConfig> singleton = {configs.front()};
+  BankAccumulator single(singleton);
+  for_each_chunk([&](std::span<const std::uint32_t> chunk) {
+    bank.feed(chunk);
+    single.feed(chunk);
+  });
+  EXPECT_EQ(bank.words_fed(), words.size());
+  const std::vector<CacheStats> got = bank.stats();
+  ASSERT_EQ(got.size(), configs.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const CacheStats ref = reference_stats(configs[i], words);
+    EXPECT_EQ(got[i], ref) << "chunked bank x " << configs[i].name();
+    EXPECT_EQ(whole[i], ref) << "whole bank x " << configs[i].name();
+    FastCacheSim sim(configs[i]);
+    for_each_chunk(
+        [&](std::span<const std::uint32_t> chunk) { sim.replay(chunk); });
+    EXPECT_EQ(sim.stats(), ref) << "chunked fast sim x " << configs[i].name();
   }
+  EXPECT_EQ(single.stats().front(), got.front()) << "chunked singleton";
 }
 
 // --- bulk packed trace reader -----------------------------------------------

@@ -12,6 +12,7 @@
 
 #include "cache/config.hpp"
 #include "energy/energy_model.hpp"
+#include "reference_replay.hpp"
 #include "trace/replay.hpp"
 #include "trace/trace.hpp"
 #include "util/error.hpp"
@@ -51,7 +52,7 @@ std::vector<Cell> sweep_all27(SweepRunner& runner) {
         const CacheConfig& cfg = configs[j % configs.size()];
         const Trace& stream = instruction ? split.ifetch : split.data;
         Cell cell;
-        cell.stats = measure_config(cfg, stream);
+        cell.stats = fast_stats(cfg, pack_stream(stream));
         cell.energy = model.evaluate(cfg, cell.stats).total();
         runner.add_accesses(stream.size());
         return cell;
@@ -74,7 +75,7 @@ TEST(SweepRunnerTest, ParallelMatchesSerialReferenceOnAll27Configs) {
     for (const Trace* stream : {&split.ifetch, &split.data}) {
       for (const CacheConfig& cfg : configs) {
         Cell cell;
-        cell.stats = measure_config(cfg, *stream);
+        cell.stats = fast_stats(cfg, pack_stream(*stream));
         cell.energy = model.evaluate(cfg, cell.stats).total();
         reference.push_back(cell);
       }
@@ -108,12 +109,12 @@ TEST(SweepRunnerTest, DeterministicAcrossJobCounts) {
 TEST(SweepRunnerTest, BankReplayMatchesPerConfigReplay) {
   const auto& configs = all_configs();
   for (const SplitTrace& split : test_traces()) {
+    const std::vector<std::uint32_t> packed = pack_stream(split.ifetch);
     const std::vector<CacheStats> bank =
-        measure_config_bank(configs, split.ifetch);
+        feed_stats(BankAccumulator(configs), packed);
     ASSERT_EQ(bank.size(), configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      EXPECT_EQ(bank[c], measure_config(configs[c], split.ifetch))
-          << configs[c].name();
+      EXPECT_EQ(bank[c], fast_stats(configs[c], packed)) << configs[c].name();
     }
   }
 }

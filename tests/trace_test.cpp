@@ -1,6 +1,7 @@
 // Tests of trace capture, splitting, replay, and the synthetic generators.
 #include <gtest/gtest.h>
 
+#include "reference_replay.hpp"
 #include "trace/replay.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace.hpp"
@@ -64,8 +65,8 @@ TEST(Replay, MatchesDirectAccesses) {
   for (const TraceRecord& r : t) {
     direct.access(r.addr, r.kind == AccessKind::kWrite);
   }
-  const CacheStats replayed =
-      measure_config(CacheConfig::parse("4K_2W_32B"), t);
+  ConfigurableCache cache(CacheConfig::parse("4K_2W_32B"));
+  const CacheStats replayed = replay(cache, t);
   EXPECT_EQ(replayed.misses, direct.stats().misses);
   EXPECT_EQ(replayed.cycles, direct.stats().cycles);
   EXPECT_EQ(replayed.writeback_bytes, direct.stats().writeback_bytes);
@@ -90,7 +91,7 @@ TEST(Synthetic, LoopIfetchFootprint) {
 
 TEST(Synthetic, LoopFitsInTinyCache) {
   Trace t = gen_loop_ifetch(0, 1024, 50);
-  const CacheStats s = measure_config(CacheConfig::parse("2K_1W_16B"), t);
+  const CacheStats s = reference_stats(CacheConfig::parse("2K_1W_16B"), t);
   EXPECT_LT(s.miss_rate(), 0.01);
 }
 
@@ -122,7 +123,7 @@ TEST(Synthetic, ParserLikeMissRateFallsThenFlattens) {
   params.accesses = 400'000;
   Trace t = gen_parser_like(params);
   auto mr = [&](std::uint32_t size) {
-    return measure_geometry(CacheGeometry{size, 1, 32}, t).miss_rate();
+    return reference_stats(CacheGeometry{size, 1, 32}, t).miss_rate();
   };
   const double m2k = mr(2 * 1024);
   const double m32k = mr(32 * 1024);

@@ -9,6 +9,7 @@
 
 #include "core/evaluator.hpp"
 #include "core/heuristic.hpp"
+#include "reference_replay.hpp"
 #include "trace/replay.hpp"
 #include "workloads/workload.hpp"
 
@@ -25,12 +26,14 @@ const SplitTrace& traces_of(const std::string& name) {
 }
 
 double imiss(const std::string& workload, const char* cfg) {
-  return measure_config(CacheConfig::parse(cfg), traces_of(workload).ifetch)
+  return fast_stats(CacheConfig::parse(cfg),
+                    pack_stream(traces_of(workload).ifetch))
       .miss_rate();
 }
 
 double dmiss(const std::string& workload, const char* cfg) {
-  return measure_config(CacheConfig::parse(cfg), traces_of(workload).data)
+  return fast_stats(CacheConfig::parse(cfg),
+                    pack_stream(traces_of(workload).data))
       .miss_rate();
 }
 
@@ -94,12 +97,12 @@ TEST(WorkloadBehavior, EpicColumnPassesRewardAssociativity) {
 
 TEST(WorkloadBehavior, PredictionAccuracyBands) {
   // MRU prediction: high on instruction streams (paper: ~90%).
-  const CacheStats i =
-      measure_config(CacheConfig::parse("8K_4W_16B_P"), traces_of("jpeg").ifetch);
+  const CacheStats i = fast_stats(CacheConfig::parse("8K_4W_16B_P"),
+                                  pack_stream(traces_of("jpeg").ifetch));
   EXPECT_GT(i.prediction_accuracy(), 0.80);
   // Data accuracy varies by kernel but stays meaningful.
-  const CacheStats d =
-      measure_config(CacheConfig::parse("8K_4W_16B_P"), traces_of("ucbqsort").data);
+  const CacheStats d = fast_stats(CacheConfig::parse("8K_4W_16B_P"),
+                                  pack_stream(traces_of("ucbqsort").data));
   EXPECT_GT(d.prediction_accuracy(), 0.40);
   EXPECT_LT(d.prediction_accuracy(), 1.0);
 }

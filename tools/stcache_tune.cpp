@@ -6,28 +6,23 @@
 //   stcache_tune --phases SCENARIO [--naive] [--scale N] [options]
 //
 // options: [--exhaustive] [--space embedded|desktop] [--jobs N]
-//          [--sweep-jobs N] [--metrics-out file.json]
-//          [--engine reference|fast|oneshot]
-//          [--pipeline streaming|materialized] [--reader buffered|mmap]
-//          [--metrics]
+//          [--sweep-jobs N] [--metrics-out file.json] [--metrics]
 //
 // Both modes tune the selected stream's cache (instruction by default)
 // with the Figure 6 heuristic and print the decision; with --exhaustive
 // the 27-point optimum and the heuristic's gap are printed as well. The
-// file mode bulk-loads the trace straight into packed split streams
-// (load_packed_trace — no TraceRecord intermediate); --reader mmap
-// streams the file out-of-core instead (MappedPackedTrace: mmap +
-// chunked decode, pages released behind the cursor), so an exhaustive
-// sweep of a trace far larger than memory runs in a bounded footprint. The workload mode
-// never touches disk: --pipeline streaming (the default) runs the fast
-// interpreter on a capture thread and folds each packed chunk into the
-// exhaustive configuration bank as it is produced, so capture and sweep
-// overlap; --pipeline materialized captures the packed streams first and
-// sweeps after, as a determinism baseline (repro.sh cmp's the two).
-// Stdout is byte-identical across file/workload modes, engines, pipelines,
+// file mode streams the trace out-of-core (MappedPackedTrace: mmap +
+// chunked decode, pages released behind the cursor, a pread fallback under
+// STCACHE_NO_MMAP=1): an exhaustive sweep folds each decoded chunk
+// straight into the configuration bank, so a trace far larger than memory
+// runs in a bounded footprint, and the heuristic materializes the selected
+// stream chunk by chunk. The workload mode never touches disk: the fast
+// interpreter runs on a capture thread and each packed chunk is folded
+// into the exhaustive configuration bank as it is produced, so capture and
+// sweep overlap. Stdout is byte-identical across file/workload modes,
 // --jobs and --sweep-jobs values for the same trace (--sweep-jobs shards
-// the exhaustive oneshot sweep itself by cache-set partition; the merge is
-// exact, see trace/replay.hpp).
+// the exhaustive sweep itself by cache-set partition; the merge is exact,
+// see trace/replay.hpp).
 //
 // --phases SCENARIO runs the phase-adaptive tuner (src/phase) on a named
 // phase-mixed scenario (squarewave|taskset|datamix, built deterministically
@@ -37,22 +32,23 @@
 // verdict. --naive disables distance mapping (every phase re-sweeps) as
 // the comparison baseline; --scale N multiplies every segment length. The
 // timeline depends only on bank stats and fixed-offset window signatures,
-// so stdout is byte-identical across --engine and --sweep-jobs (repro.sh
+// so stdout is byte-identical across --sweep-jobs values (repro.sh
 // cmp-gates this).
 //
 // --space embedded|desktop switches from the paper's 27-point platform to
 // a ScaledSpace (64 generic geometries): every configuration is measured
-// in one bank pass — the generalized oneshot engine covers each line-size
-// family with a single nested stack-distance traversal — and both the
-// ascending-greedy heuristic and the exhaustive optimum are reported from
-// the same measured bank. The per-config table prints raw integer
-// hit/miss/writeback counts, so a one-bit divergence between engines or
-// --sweep-jobs values breaks the byte-identity cmp. Sweep metrics go to
-// stderr, and
-// to a JSON file with --metrics-out; the informational [sim]/[trace_io]/
-// [replay] lines appear only under --metrics (or STCACHE_METRICS=1).
+// in one bank pass — one nested stack-distance traversal per line-size
+// family — and both the ascending-greedy heuristic and the exhaustive
+// optimum are reported from the same measured bank. The per-config table
+// prints raw integer hit/miss/writeback counts, so a one-bit divergence
+// between --sweep-jobs values breaks the byte-identity cmp.
+//
+// Numeric flags are parsed strictly (whole token, no sign): --scale takes
+// a positive integer, --jobs 0..4096 (0 = hardware concurrency) and
+// --sweep-jobs 1..32; anything else exits 2. Sweep metrics go to stderr,
+// and to a JSON file with --metrics-out; the informational [sim]/
+// [trace_io] lines appear only under --metrics (or STCACHE_METRICS=1).
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -71,6 +67,7 @@
 #include "trace/stream.hpp"
 #include "trace/trace_io.hpp"
 #include "util/metrics.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workloads/workload.hpp"
 
@@ -83,15 +80,12 @@ int usage() {
                "[--exhaustive] [--space embedded|desktop] "
                "[--naive] [--scale N] "
                "[--jobs N] [--sweep-jobs N] "
-               "[--metrics-out file.json] "
-               "[--engine reference|fast|oneshot] "
-               "[--pipeline streaming|materialized] "
-               "[--reader buffered|mmap] [--metrics]\n";
+               "[--metrics-out file.json] [--metrics]\n";
   return 2;
 }
 
 // The --space report: a full per-config table (integer counts, so any
-// engine/sharding divergence is visible to cmp), then the heuristic and
+// sharding divergence is visible to cmp), then the heuristic and
 // exhaustive verdicts from the same measured bank.
 void print_scaled_report(std::ostream& os, const std::string& space_name,
                          bool instruction, std::uint64_t accesses,
@@ -149,8 +143,6 @@ int run(int argc, char** argv) {
   bool phases_naive = false;
   unsigned phases_scale = 1;
   std::string space_name;
-  std::string pipeline = "streaming";
-  std::string reader = "buffered";
   bool instruction = true;
   bool exhaustive = false;
   SweepOptions sweep;
@@ -161,6 +153,7 @@ int run(int argc, char** argv) {
     i = 2;
   }
   for (; i < argc; ++i) {
+    std::uint64_t v = 0;
     if (std::strcmp(argv[i], "D") == 0) instruction = false;
     else if (std::strcmp(argv[i], "I") == 0) instruction = true;
     else if (std::strcmp(argv[i], "--exhaustive") == 0) exhaustive = true;
@@ -171,22 +164,23 @@ int run(int argc, char** argv) {
       phases_name = argv[++i];
     else if (std::strcmp(argv[i], "--naive") == 0)
       phases_naive = true;
-    else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
-      phases_scale = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (std::strcmp(argv[i], "--space") == 0 && i + 1 < argc)
+    else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
+      if (!parse_flag_u64(argv[i], argv[i + 1], 1, ~std::uint32_t{0}, v))
+        return 2;
+      phases_scale = static_cast<unsigned>(v);
+      ++i;
+    } else if (std::strcmp(argv[i], "--space") == 0 && i + 1 < argc)
       space_name = argv[++i];
-    else if (std::strcmp(argv[i], "--pipeline") == 0 && i + 1 < argc)
-      pipeline = argv[++i];
-    else if (std::strcmp(argv[i], "--reader") == 0 && i + 1 < argc)
-      reader = argv[++i];
-    else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-      sweep.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (std::strcmp(argv[i], "--sweep-jobs") == 0 && i + 1 < argc)
-      set_default_sweep_jobs(static_cast<unsigned>(std::atoi(argv[++i])));
-    else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc)
+    else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
+      if (!parse_flag_u64(argv[i], argv[i + 1], 0, 4096, v)) return 2;
+      sweep.jobs = static_cast<unsigned>(v);
+      ++i;
+    } else if (std::strcmp(argv[i], "--sweep-jobs") == 0 && i + 1 < argc) {
+      if (!parse_flag_u64(argv[i], argv[i + 1], 1, 32, v)) return 2;
+      set_default_sweep_jobs(static_cast<unsigned>(v));
+      ++i;
+    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc)
       metrics_out = argv[++i];
-    else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc)
-      set_default_replay_engine(parse_replay_engine(argv[++i]));
     else {
       std::cerr << "unknown argument: " << argv[i] << "\n";
       return 2;
@@ -198,29 +192,11 @@ int run(int argc, char** argv) {
   } else if (path.empty() == workload_name.empty()) {
     return usage();  // exactly one of file / --workload
   }
-  if (pipeline != "streaming" && pipeline != "materialized") {
-    std::cerr << "unknown pipeline '" << pipeline
-              << "' (expected streaming|materialized)\n";
-    return 2;
-  }
-  if (reader != "buffered" && reader != "mmap") {
-    std::cerr << "unknown reader '" << reader
-              << "' (expected buffered|mmap)\n";
-    return 2;
-  }
-  if (reader == "mmap" && path.empty()) {
-    std::cerr << "--reader mmap applies to trace-file mode only\n";
-    return 2;
-  }
   if (!space_name.empty() && space_name != "embedded" &&
       space_name != "desktop") {
     std::cerr << "unknown space '" << space_name
               << "' (expected embedded|desktop)\n";
     return 2;
-  }
-  if (metrics_enabled()) {
-    std::cerr << "[replay] engine=" << to_string(default_replay_engine())
-              << "\n";
   }
 
   const EnergyModel model;
@@ -254,87 +230,64 @@ int run(int argc, char** argv) {
   }
 
   SweepRunner runner(sweep);
-  // --space replaces the platform sweep entirely: the streaming arms below
-  // must materialize the selected stream instead of folding it into the
-  // 27-config platform bank.
+  // --space replaces the platform sweep entirely: it measures its own bank
+  // over the materialized stream.
   const bool platform_exhaustive = exhaustive && space_name.empty();
 
-  // The selected stream, packed (bit 31 = write, bits 30..0 = 16 B block):
-  // the heuristic evaluator measures configurations against it on demand.
-  // No TraceRecord AoS is ever built in any mode.
-  std::vector<std::uint32_t> sel;
-  std::uint64_t sel_count = 0;       // selected records, even when unmaterialized
-  std::vector<CacheStats> measured;  // exhaustive bank, if already folded
-  bool have_measured = false;
-
-  if (!workload_name.empty()) {
-    const Workload& w = find_workload(workload_name);
-    if (pipeline == "streaming") {
-      // One sweep job: the capture thread produces packed chunks while
-      // this thread folds them into the exhaustive bank (when asked) and
-      // appends the selected stream for the heuristic's on-demand replays.
-      runner.map<int>(
-          1,
-          [&](std::size_t) {
-            std::optional<BankAccumulator> bank;
-            if (platform_exhaustive) bank.emplace(configs);
-            stream_workload(w, [&](const PackedChunk& chunk) {
-              const std::span<const std::uint32_t> words =
-                  instruction ? chunk.ifetch_words() : chunk.data_words();
-              sel.insert(sel.end(), words.begin(), words.end());
-              if (bank) bank->feed(words);
-            });
-            if (bank) {
-              measured = bank->stats();
-              have_measured = true;
-              runner.add_accesses(bank->words_fed() * configs.size());
-            }
-            return 0;
-          },
-          [&](std::size_t) { return w.name + ": streaming capture+sweep"; });
+  // The selected stream, packed (bit 31 = write, bits 30..0 = 16 B block),
+  // chunk by chunk from the capture thread or the out-of-core decoder. No
+  // TraceRecord AoS is ever built in any mode.
+  const Workload* workload =
+      workload_name.empty() ? nullptr : &find_workload(workload_name);
+  std::optional<MappedPackedTrace> mapped;
+  if (!workload) mapped.emplace(path);
+  const auto for_each_chunk = [&](auto&& consume) {
+    if (workload) {
+      stream_workload(*workload, [&](const PackedChunk& chunk) {
+        consume(instruction ? chunk.ifetch_words() : chunk.data_words());
+      });
     } else {
-      PackedCapture cap = capture_packed(w);
-      sel = instruction ? std::move(cap.ifetch) : std::move(cap.data);
-    }
-  } else if (reader == "mmap") {
-    MappedPackedTrace mapped(path);
-    if (platform_exhaustive) {
-      // Out-of-core sweep: fold each decoded chunk straight into the
-      // exhaustive bank; the selected stream is never materialized, so
-      // the footprint is the chunk buffers plus the bank — independent
-      // of the trace size. Only the record count survives for the
-      // report header.
-      runner.map<int>(
-          1,
-          [&](std::size_t) {
-            BankAccumulator bank(configs);
-            mapped.for_each_chunk([&](const MappedPackedTrace::Chunk& chunk) {
-              const std::span<const std::uint32_t> words =
-                  instruction ? chunk.ifetch : chunk.data;
-              sel_count += words.size();
-              bank.feed(words);
-            });
-            measured = bank.stats();
-            have_measured = true;
-            runner.add_accesses(bank.words_fed() * configs.size());
-            return 0;
-          },
-          [&](std::size_t) { return path + ": mmap-streamed sweep"; });
-    } else {
-      // The heuristic replays the selected stream repeatedly, so it is
-      // materialized — but still decoded out-of-core, chunk by chunk.
-      mapped.for_each_chunk([&](const MappedPackedTrace::Chunk& chunk) {
-        const std::span<const std::uint32_t> words =
-            instruction ? chunk.ifetch : chunk.data;
-        sel.insert(sel.end(), words.begin(), words.end());
+      mapped->for_each_chunk([&](const MappedPackedTrace::Chunk& chunk) {
+        consume(instruction ? chunk.ifetch : chunk.data);
       });
     }
+  };
+
+  // The heuristic and --space evaluate against the materialized stream; an
+  // exhaustive platform sweep instead folds each chunk into the bank as it
+  // arrives (one sweep job, overlapping the producer), so the stream is
+  // never materialized and only its record count survives for the report.
+  std::vector<std::uint32_t> sel;
+  std::uint64_t sel_count = 0;
+  std::vector<CacheStats> measured;
+  if (platform_exhaustive) {
+    measured =
+        runner
+            .map<std::vector<CacheStats>>(
+                1,
+                [&](std::size_t) {
+                  BankAccumulator bank(configs);
+                  for_each_chunk([&](std::span<const std::uint32_t> words) {
+                    bank.feed(words);
+                  });
+                  sel_count = bank.words_fed();
+                  runner.add_accesses(sel_count * configs.size());
+                  return bank.stats();
+                },
+                [&](std::size_t) {
+                  return (workload ? workload_name : path) +
+                         ": streamed sweep";
+                })
+            .front();
   } else {
-    PackedSplitTrace split = load_packed_trace(path);
-    sel = instruction ? std::move(split.ifetch) : std::move(split.data);
+    // The file's record count bounds the selected stream: one allocation.
+    if (mapped) sel.reserve(mapped->record_count());
+    for_each_chunk([&](std::span<const std::uint32_t> words) {
+      sel.insert(sel.end(), words.begin(), words.end());
+    });
+    sel_count = sel.size();
   }
 
-  if (sel_count == 0) sel_count = sel.size();
   if (sel_count == 0) {
     std::cerr << "error: the selected stream is empty\n";
     return 1;
@@ -344,19 +297,16 @@ int run(int argc, char** argv) {
     const ScaledSpace space = space_name == "embedded"
                                   ? ScaledSpace::embedded_32k()
                                   : ScaledSpace::desktop_64k();
-    // One bank pass over the packed stream measures all 64 geometries:
-    // the oneshot engine groups them into one generalized stack-distance
-    // traversal per line-size family (fast/reference loop per config).
-    // Engine and sharding come from --engine / --sweep-jobs via the
-    // process defaults; stdout depends only on the measured counts, which
-    // are bit-identical across all of them.
+    // One bank pass over the packed stream measures all 64 geometries,
+    // one nested stack-distance traversal per line-size family, sharded by
+    // --sweep-jobs through the process default; stdout depends only on
+    // the measured counts, which are bit-identical across shard counts.
     std::vector<CacheStats> sstats;
     runner.map<int>(
         1,
         [&](std::size_t) {
           runner.add_accesses(sel.size() * space.total_configs());
-          sstats = measure_geometry_bank(space.configs(),
-                                         std::span<const std::uint32_t>(sel));
+          sstats = measure_geometry_bank(space.configs(), sel);
           return 0;
         },
         [&](std::size_t) { return space_name + " scaled space"; });
@@ -368,25 +318,6 @@ int run(int argc, char** argv) {
   }
 
   if (exhaustive) {
-    if (!have_measured) {
-      // Evaluate the full 27-point space as one bank job — the stream is
-      // already packed, and under the oneshot engine each line-size group
-      // is covered by a single stack-distance traversal. A single stream
-      // leaves nothing to shard by workload, so the sweep is one job;
-      // --jobs still bounds the pool.
-      measured =
-          runner
-              .map<std::vector<CacheStats>>(
-                  1,
-                  [&](std::size_t) {
-                    runner.add_accesses(sel.size() * configs.size());
-                    BankAccumulator bank(configs);
-                    bank.feed(sel);
-                    return bank.stats();
-                  },
-                  [&](std::size_t) { return std::string("all configs"); })
-              .front();
-    }
     runner.print_metrics(std::cerr);
     runner.write_metrics_json(metrics_out);
     // The measured bank covers every configuration either search visits,

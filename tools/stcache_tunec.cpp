@@ -4,13 +4,13 @@
 //   stcache_tunec --socket PATH <file.stct> [I|D] [options]
 //   stcache_tunec --socket PATH --workload NAME [I|D] [options]
 //
-// options: [--pipeline streaming|materialized] [--chunk-words N]
-//          [--timeout MS] [--retries N] [--backoff MS]
+// options: [--chunk-words N] [--timeout MS] [--retries N] [--backoff MS]
 //
-// The workload mode with --pipeline streaming (the default) captures on a
-// producer thread and ships each packed chunk over the socket as it is
-// produced — capture, network, and the daemon's sweep all overlap, and no
-// full trace is ever materialized on either side. Because the daemon folds
+// The workload mode captures on a producer thread and ships each packed
+// chunk over the socket as it is produced — capture, network, and the
+// daemon's sweep all overlap, and no full trace is ever materialized on
+// either side. The file mode loads the packed trace whole
+// (load_packed_trace) and streams it in chunks. Because the daemon folds
 // chunks with the same BankAccumulator the in-process pipeline uses, and
 // both sides render through print_exhaustive_report, stdout is
 // byte-identical to `stcache_tune --exhaustive` on the same stream
@@ -30,9 +30,7 @@
 // "the daemon turned me down".
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <span>
@@ -44,6 +42,7 @@
 #include "serve/client.hpp"
 #include "trace/trace_io.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "workloads/workload.hpp"
 
 namespace stcache {
@@ -52,24 +51,8 @@ namespace {
 int usage() {
   std::cerr << "usage: stcache_tunec --socket PATH "
                "(<file.stct> | --workload NAME | --probe empty|bad-crc) "
-               "[I|D] [--pipeline streaming|materialized] [--chunk-words N] "
-               "[--timeout MS] [--retries N] [--backoff MS]\n";
-  return 2;
-}
-
-// Strict decimal parse: whole token, no sign, no trailing junk.
-bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-int bad_value(const char* flag, const char* value) {
-  std::cerr << "invalid value for " << flag << ": '" << value << "'\n";
+               "[I|D] [--chunk-words N] [--timeout MS] [--retries N] "
+               "[--backoff MS]\n";
   return 2;
 }
 
@@ -118,7 +101,6 @@ int run(int argc, char** argv) {
   std::string socket_path;
   std::string path;
   std::string workload_name;
-  std::string pipeline = "streaming";
   std::string probe;
   bool instruction = true;
   serve::ClientOptions copts;
@@ -138,28 +120,24 @@ int run(int argc, char** argv) {
       socket_path = argv[++i];
     else if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc)
       workload_name = argv[++i];
-    else if (std::strcmp(argv[i], "--pipeline") == 0 && i + 1 < argc)
-      pipeline = argv[++i];
     else if (std::strcmp(argv[i], "--probe") == 0 && i + 1 < argc)
       probe = argv[++i];
     else if (std::strcmp(argv[i], "--chunk-words") == 0 && i + 1 < argc) {
-      if (!parse_u64(argv[i + 1], v) || v == 0 || v > serve::kMaxChunkWords)
-        return bad_value("--chunk-words", argv[i + 1]);
+      if (!parse_flag_u64(argv[i], argv[i + 1], 1, serve::kMaxChunkWords, v))
+        return 2;
       copts.chunk_words = static_cast<std::size_t>(v);
       ++i;
     } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      if (!parse_u64(argv[i + 1], v) || v > ~std::uint32_t{0})
-        return bad_value("--timeout", argv[i + 1]);
+      if (!parse_flag_u64(argv[i], argv[i + 1], 0, ~std::uint32_t{0}, v))
+        return 2;
       timeout_ms = v;
       ++i;
     } else if (std::strcmp(argv[i], "--retries") == 0 && i + 1 < argc) {
-      if (!parse_u64(argv[i + 1], v) || v > 100)
-        return bad_value("--retries", argv[i + 1]);
+      if (!parse_flag_u64(argv[i], argv[i + 1], 0, 100, v)) return 2;
       policy.max_attempts = static_cast<std::uint32_t>(v) + 1;
       ++i;
     } else if (std::strcmp(argv[i], "--backoff") == 0 && i + 1 < argc) {
-      if (!parse_u64(argv[i + 1], v) || v == 0 || v > 60'000)
-        return bad_value("--backoff", argv[i + 1]);
+      if (!parse_flag_u64(argv[i], argv[i + 1], 1, 60'000, v)) return 2;
       policy.backoff_ms = static_cast<std::uint32_t>(v);
       ++i;
     } else if (argv[i][0] != '-' && path.empty() && workload_name.empty())
@@ -180,14 +158,9 @@ int run(int argc, char** argv) {
     return run_probe(socket_path, probe, instruction, copts.io_timeout_ms);
   }
   if (path.empty() == workload_name.empty()) return usage();  // exactly one
-  if (pipeline != "streaming" && pipeline != "materialized") {
-    std::cerr << "unknown pipeline '" << pipeline
-              << "' (expected streaming|materialized)\n";
-    return 2;
-  }
 
   serve::Verdict verdict;
-  if (!workload_name.empty() && pipeline == "streaming") {
+  if (!workload_name.empty()) {
     // Chunks go straight from the capture thread's queue onto the wire.
     // The retry loop re-captures the workload per attempt — capture is
     // deterministic, so a replayed session streams the identical bytes.
@@ -211,14 +184,9 @@ int run(int argc, char** argv) {
       }
     }
   } else {
-    std::vector<std::uint32_t> sel;
-    if (!workload_name.empty()) {
-      PackedCapture cap = capture_packed(find_workload(workload_name));
-      sel = instruction ? std::move(cap.ifetch) : std::move(cap.data);
-    } else {
-      PackedSplitTrace split = load_packed_trace(path);
-      sel = instruction ? std::move(split.ifetch) : std::move(split.data);
-    }
+    PackedSplitTrace split = load_packed_trace(path);
+    const std::vector<std::uint32_t> sel =
+        instruction ? std::move(split.ifetch) : std::move(split.data);
     verdict =
         serve::tune_remote_retry(socket_path, instruction, sel, policy, copts);
   }

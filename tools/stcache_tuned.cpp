@@ -4,7 +4,7 @@
 //
 //   stcache_tuned --socket PATH [--workers N] [--pool-chunks N]
 //                 [--chunk-words N] [--session-budget N]
-//                 [--engine reference|fast|oneshot] [--sweep-jobs N]
+//                 [--sweep-jobs N]
 //                 [--max-sessions N]
 //                 [--idle-timeout-ms N] [--session-timeout-ms N]
 //                 [--max-inflight N] [--shed-pool-min N]
@@ -27,10 +27,8 @@
 // answered with a typed ERROR and poisoned; concurrent sessions and the
 // worker pool are untouched. docs/serving.md documents the protocol, the
 // architecture, and the resilience knobs (§6).
-#include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -38,6 +36,7 @@
 
 #include "serve/server.hpp"
 #include "trace/replay.hpp"
+#include "util/parse.hpp"
 
 namespace stcache {
 namespace {
@@ -48,30 +47,11 @@ void on_signal(int) { g_stop = 1; }
 int usage() {
   std::cerr << "usage: stcache_tuned --socket PATH [--workers N] "
                "[--pool-chunks N] [--chunk-words N] [--session-budget N] "
-               "[--engine reference|fast|oneshot] [--sweep-jobs N] "
+               "[--sweep-jobs N] "
                "[--max-sessions N] "
                "[--idle-timeout-ms N] [--session-timeout-ms N] "
                "[--max-inflight N] [--shed-pool-min N] [--retry-after-ms N] "
                "[--drain-timeout-ms N]\n";
-  return 2;
-}
-
-// Strict decimal parse: the whole token, no sign, no trailing junk. A
-// daemon that silently reads `--workers -1` as a huge size_t is a
-// production incident, not a convenience.
-bool parse_u64(const char* s, std::uint64_t& out) {
-  if (s == nullptr || *s == '\0' || *s == '-' || *s == '+') return false;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
-  out = v;
-  return true;
-}
-
-int bad_value(const char* flag, const char* value, const char* why) {
-  std::cerr << "invalid value for " << flag << ": '" << value << "' (" << why
-            << ")\n";
   return 2;
 }
 
@@ -82,13 +62,10 @@ int run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const auto take_u64 = [&](std::uint64_t& out, std::uint64_t min_value,
                               std::uint64_t max_value) -> int {
-      const char* flag = argv[i];
-      const char* value = argv[++i];
-      if (!parse_u64(value, out))
-        return bad_value(flag, value, "expected a non-negative integer");
-      if (out < min_value) return bad_value(flag, value, "value too small");
-      if (out > max_value) return bad_value(flag, value, "value too large");
-      return 0;
+      ++i;
+      return parse_flag_u64(argv[i - 1], argv[i], min_value, max_value, out)
+                 ? 0
+                 : 2;
     };
     std::uint64_t v = 0;
     if (std::strcmp(argv[i], "--socket") == 0 && i + 1 < argc) {
@@ -105,10 +82,8 @@ int run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--session-budget") == 0 && i + 1 < argc) {
       if (int rc = take_u64(v, 1, std::uint64_t{1} << 24)) return rc;
       opts.session_budget = static_cast<std::size_t>(v);
-    } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-      opts.engine = parse_replay_engine(argv[++i]);
     } else if (std::strcmp(argv[i], "--sweep-jobs") == 0 && i + 1 < argc) {
-      // Shards each session's oneshot sweep by cache-set partition. The
+      // Shards each session's bank sweep by cache-set partition. The
       // daemon's first axis of parallelism is sessions across --workers;
       // this multiplies threads per in-flight session (worker pools spawn
       // lazily inside each session's BankAccumulator), so size the product
