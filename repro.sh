@@ -5,8 +5,8 @@
 #
 #   ./repro.sh           full pipeline (build, all tests, TSan sweep+shard
 #                        +stream+serving+chaos+phase tests, ASan/UBSan fault
-#                        +trace+mmap+interpreter+serving+wire+chaos+phase
-#                        tests, the
+#                        +trace+mmap+interpreter+crc32+serving+wire+chaos
+#                        +phase tests, the
 #                        throughput/capture/end-to-end/simd/parallel/serving/
 #                        resilience/scaled-sweep/phase gates, the
 #                        sharded-sweep, trace-file, scaled-space, serving and
@@ -16,7 +16,7 @@
 #                        tests (native, TSan, one chaos campaign) + the
 #                        fault-injection, trace-format, mmap-reader,
 #                        replay-equivalence, stack-sweep, sharded-sweep,
-#                        fast-interpreter differential, stream,
+#                        fast-interpreter differential, stream, CRC-32,
 #                        serving, wire and chaos tests (native and
 #                        ASan/UBSan) + --jobs/--sweep-jobs/partition-count
 #                        determinism checks on bench_fig3 and stcache_tune,
@@ -80,7 +80,7 @@ RESILIENCE_FILTER=
 # length-prefixed frame parsing and the chunk pool's recycled buffers are
 # classic overrun territory.
 cmake -B build-asan -S . -DSTCACHE_SANITIZE=address,undefined > /dev/null
-cmake --build build-asan -j "$(nproc)" --target fault_test trace_io_test mmap_trace_test replay_equivalence_test stack_sweep_test fast_cpu_test stream_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test
+cmake --build build-asan -j "$(nproc)" --target fault_test trace_io_test mmap_trace_test replay_equivalence_test stack_sweep_test fast_cpu_test stream_test crc32_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/trace_io_test
 # The out-of-core reader does raw pointer arithmetic over an mmap'd file
@@ -98,6 +98,10 @@ fi
 ./build-asan/tests/stack_sweep_test
 ./build-asan/tests/fast_cpu_test
 ./build-asan/tests/stream_test
+# The slicing-by-16 CRC-32 indexes sixteen tables from loaded words and
+# hands every unaligned tail to the byte loop: its property test walks
+# every length and start offset, where an over-read would hide.
+./build-asan/tests/crc32_test
 ./build-asan/tests/shard_queue_test
 ./build-asan/tests/serving_test
 # wire_test feeds the frame codec torn prefixes, oversized declarations and
@@ -146,7 +150,7 @@ serve_cmp() {
 }
 
 if [ "$QUICK" = "1" ]; then
-    STCACHE_BIG_TRACE_RECORDS=2000000 ctest --test-dir build -R 'ThreadPool|SweepRunner|ShardedSweep|Fault|TraceIo|MmapTrace|ReplayEquivalence|StackSweep|FastCpu|Workload|Spsc|Stream|BankAccumulator|PackedTraceIo|ChunkPool|ShardQueue|Serving|Wire|Phase' --output-on-failure
+    STCACHE_BIG_TRACE_RECORDS=2000000 ctest --test-dir build -R 'ThreadPool|SweepRunner|ShardedSweep|Fault|TraceIo|MmapTrace|ReplayEquivalence|StackSweep|FastCpu|Workload|Spsc|Stream|BankAccumulator|PackedTraceIo|Crc32|ChunkPool|ShardQueue|Serving|Wire|Phase' --output-on-failure
 
     # Determinism gate: the parallel sweep must reproduce the serial table
     # byte for byte (metrics go to stderr, so stdout is comparable).

@@ -112,6 +112,11 @@ void TuningServer::accept_loop() {
   }
 }
 
+std::size_t TuningServer::sessions_in_flight() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sessions_.size();
+}
+
 TuningServer::EntryPtr TuningServer::find_entry(std::uint64_t session) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session);
@@ -177,17 +182,14 @@ void TuningServer::serve_connection(int fd) {
   // by the sooner of the idle deadline (reset per frame) and this one.
   const WireDeadline session_deadline =
       wire_deadline_after(opts_.session_timeout_ms);
-  const auto frame_deadline = [&] {
-    return std::min(wire_deadline_after(opts_.idle_timeout_ms),
-                    session_deadline);
-  };
 
   try {
     Frame frame;
     bool instruction = true;
     bool hello_ok = false;
     try {
-      if (read_frame(fd, frame, kMaxFramePayload, frame_deadline())) {
+      if (read_frame(fd, frame, kMaxFramePayload,
+                     frame_deadline(session_deadline))) {
         if (frame.type != FrameType::kHello) {
           raw_error(WireErrorCode::kProtocol,
                     "expected HELLO, got frame type " +
@@ -221,11 +223,9 @@ void TuningServer::serve_connection(int fd) {
       std::string refuse;
       if (draining_ || stopping_) {
         refuse = "draining: not accepting new sessions";
-      } else if (opts_.max_inflight_sessions != 0) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (sessions_.size() >= opts_.max_inflight_sessions) {
-          refuse = "overloaded: session capacity reached";
-        }
+      } else if (opts_.max_inflight_sessions != 0 &&
+                 sessions_in_flight() >= opts_.max_inflight_sessions) {
+        refuse = "overloaded: session capacity reached";
       }
       if (refuse.empty() && opts_.shed_pool_min != 0 &&
           pool_->available() < opts_.shed_pool_min) {
@@ -261,7 +261,8 @@ void TuningServer::serve_connection(int fd) {
         bool timed_out = false;
         std::string why;
         try {
-          got = read_frame(fd, frame, kMaxFramePayload, frame_deadline());
+          got = read_frame(fd, frame, kMaxFramePayload,
+                           frame_deadline(session_deadline));
         } catch (const WireTimeout& e) {
           timed_out = true;
           why = e.what();
@@ -286,38 +287,8 @@ void TuningServer::serve_connection(int fd) {
           break;
         }
         if (frame.type == FrameType::kChunk) {
-          PooledChunk chunk;
-          // Global backpressure, bounded: a dry pool past the deadline
-          // sheds this session instead of pinning its reader forever.
-          if (!pool_->acquire_until(frame_deadline(), chunk)) {
-            fail_session(session, entry, WireErrorCode::kTimeout,
-                         "timeout: chunk pool exhausted past the deadline",
-                         opts_.retry_after_ms);
-            break;
-          }
-          try {
-            decode_chunk(frame.payload, chunk);
-          } catch (const std::exception& e) {
-            pool_->release(std::move(chunk));
-            const std::string message = e.what();
-            const WireErrorCode code =
-                message.find("crc") != std::string::npos
-                    ? WireErrorCode::kChunkCrc
-                    : WireErrorCode::kProtocol;
-            fail_session(session, entry, code, message);
-            break;
-          }
-          const auto pushed =
-              queues_->push_until(session, std::move(chunk), frame_deadline());
-          if (pushed == ShardedSessionQueues::PushResult::kTimedOut) {
-            fail_session(session, entry, WireErrorCode::kTimeout,
-                         "timeout: session budget saturated past the deadline",
-                         opts_.retry_after_ms);
-            break;
-          }
-          if (pushed == ShardedSessionQueues::PushResult::kRefused) {
-            // Poisoned by the worker (its ERROR frame is authoritative),
-            // or the server is stopping.
+          if (!forward_chunk(session, entry, frame.payload,
+                             session_deadline)) {
             break;
           }
         } else if (frame.type == FrameType::kFin) {
@@ -325,7 +296,7 @@ void TuningServer::serve_connection(int fd) {
           queues_->finish(session);
           // Wait for the shard worker to retire the FIN and answer —
           // bounded, so a wedged shard cannot pin this reader forever.
-          const WireDeadline deadline = frame_deadline();
+          const WireDeadline deadline = frame_deadline(session_deadline);
           bool finished;
           {
             std::unique_lock<std::mutex> lock(entry->write_mu);
@@ -376,6 +347,50 @@ void TuningServer::serve_connection(int fd) {
     --active_connections_;
     connections_drained_.notify_all();
   }
+}
+
+bool TuningServer::forward_chunk(std::uint64_t session, const EntryPtr& entry,
+                                 std::span<const std::uint8_t> payload,
+                                 WireDeadline session_deadline) {
+  std::size_t count = 0;
+  try {
+    count = check_chunk(payload);
+  } catch (const std::exception& e) {
+    const std::string message = e.what();
+    const WireErrorCode code = message.find("crc") != std::string::npos
+                                   ? WireErrorCode::kChunkCrc
+                                   : WireErrorCode::kProtocol;
+    fail_session(session, entry, code, message);
+    return false;
+  }
+  for (std::size_t first = 0; first < count;) {
+    PooledChunk chunk;
+    // Global backpressure, bounded: a dry pool past the deadline sheds
+    // this session instead of pinning its reader forever.
+    if (!pool_->acquire_until(frame_deadline(session_deadline), chunk)) {
+      fail_session(session, entry, WireErrorCode::kTimeout,
+                   "timeout: chunk pool exhausted past the deadline",
+                   opts_.retry_after_ms);
+      return false;
+    }
+    chunk.count = std::min(count - first, chunk.words.size());
+    decode_chunk(payload, first, {chunk.words.data(), chunk.count});
+    first += chunk.count;
+    const auto pushed = queues_->push_until(session, std::move(chunk),
+                                            frame_deadline(session_deadline));
+    if (pushed == ShardedSessionQueues::PushResult::kTimedOut) {
+      fail_session(session, entry, WireErrorCode::kTimeout,
+                   "timeout: session budget saturated past the deadline",
+                   opts_.retry_after_ms);
+      return false;
+    }
+    if (pushed == ShardedSessionQueues::PushResult::kRefused) {
+      // Poisoned by the worker (its ERROR frame is authoritative), or the
+      // server is stopping.
+      return false;
+    }
+  }
+  return true;
 }
 
 void TuningServer::worker_loop(std::size_t shard) {

@@ -28,6 +28,7 @@
 // the two end to end.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -112,6 +113,9 @@ class TuningServer {
   std::uint64_t sessions_shed() const { return sessions_shed_; }
   // Connections/sessions that blew an idle/total deadline.
   std::uint64_t sessions_timed_out() const { return sessions_timed_out_; }
+  // Sessions admitted and not yet closed: what admission control holds
+  // against max_inflight_sessions.
+  std::size_t sessions_in_flight() const;
 
  private:
   // Server-side session record. The connection reader owns the lifecycle;
@@ -130,6 +134,14 @@ class TuningServer {
 
   void accept_loop();
   void serve_connection(int fd);
+  // Verify one CHUNK payload, then queue its words in stream order, split
+  // into pool buffers of at most chunk_words words: a frame may carry up to
+  // kMaxChunkWords, and no pooled buffer ever grows past the pool's size.
+  // Returns false once the session is over; any failure is already
+  // answered.
+  bool forward_chunk(std::uint64_t session, const EntryPtr& entry,
+                     std::span<const std::uint8_t> payload,
+                     WireDeadline session_deadline);
   void worker_loop(std::size_t shard);
 
   EntryPtr find_entry(std::uint64_t session);
@@ -149,6 +161,12 @@ class TuningServer {
   WireDeadline response_deadline() const {
     return wire_deadline_after(opts_.idle_timeout_ms);
   }
+  // A frame read or pool/budget wait is bounded by the sooner of the idle
+  // deadline (reset per call) and the session's total deadline.
+  WireDeadline frame_deadline(WireDeadline session_deadline) const {
+    return std::min(wire_deadline_after(opts_.idle_timeout_ms),
+                    session_deadline);
+  }
 
   ServerOptions opts_;
   std::size_t workers_ = 0;
@@ -159,7 +177,7 @@ class TuningServer {
   std::thread accept_thread_;
   std::vector<std::thread> worker_threads_;
 
-  std::mutex mu_;  // guards sessions_, conn_fds_, active_connections_
+  mutable std::mutex mu_;  // guards sessions_, conn_fds_, active_connections_
   std::unordered_map<std::uint64_t, EntryPtr> sessions_;
   std::vector<int> conn_fds_;  // open connection fds, for forced shutdown
   std::size_t active_connections_ = 0;

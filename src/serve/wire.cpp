@@ -35,10 +35,18 @@ std::uint16_t get_u16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
 
+// Byte-assembled so every host reads the same value; GCC -O2 folds this
+// (and store_u32 below) into one 32-bit move on little-endian targets.
 std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+}
+
+void store_u32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 std::uint64_t get_u64(const std::uint8_t* p) {
@@ -141,20 +149,18 @@ Hello decode_hello(std::span<const std::uint8_t> payload) {
 std::vector<std::uint8_t> encode_chunk(std::span<const std::uint32_t> words) {
   STC_ASSERT(!words.empty() && words.size() <= kMaxChunkWords,
              "encode_chunk: bad word count");
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + 4 * words.size());
-  put_u32(out, static_cast<std::uint32_t>(words.size()));
-  put_u32(out, 0);  // crc placeholder
-  for (std::uint32_t w : words) put_u32(out, w);
-  const std::uint32_t crc = crc32(out.data() + 8, 4 * words.size());
-  out[4] = static_cast<std::uint8_t>(crc);
-  out[5] = static_cast<std::uint8_t>(crc >> 8);
-  out[6] = static_cast<std::uint8_t>(crc >> 16);
-  out[7] = static_cast<std::uint8_t>(crc >> 24);
+  std::vector<std::uint8_t> out(8 + std::size_t{4} * words.size());
+  std::uint8_t* p = out.data() + 8;
+  for (std::uint32_t w : words) {
+    store_u32(p, w);
+    p += 4;
+  }
+  store_u32(out.data(), static_cast<std::uint32_t>(words.size()));
+  store_u32(out.data() + 4, crc32(out.data() + 8, out.size() - 8));
   return out;
 }
 
-void decode_chunk(std::span<const std::uint8_t> payload, PooledChunk& out) {
+std::size_t check_chunk(std::span<const std::uint8_t> payload) {
   if (payload.size() < 8) fail("chunk: truncated header");
   const std::uint32_t count = get_u32(payload.data());
   if (count == 0 || count > kMaxChunkWords) {
@@ -166,13 +172,18 @@ void decode_chunk(std::span<const std::uint8_t> payload, PooledChunk& out) {
   const std::uint32_t declared = get_u32(payload.data() + 4);
   const std::uint32_t actual = crc32(payload.data() + 8, std::size_t{4} * count);
   if (declared != actual) fail("chunk: crc mismatch");
-  if (out.words.size() < count) out.words.resize(count);
-  // Word bytes are little-endian on the wire; decode explicitly so the
-  // protocol stays endian-portable.
-  for (std::uint32_t i = 0; i < count; ++i) {
-    out.words[i] = get_u32(payload.data() + 8 + std::size_t{4} * i);
+  return count;
+}
+
+void decode_chunk(std::span<const std::uint8_t> payload, std::size_t first,
+                  std::span<std::uint32_t> out) {
+  STC_ASSERT(payload.size() >= 8 + std::size_t{4} * (first + out.size()),
+             "decode_chunk: words out of range");
+  const std::uint8_t* p = payload.data() + 8 + std::size_t{4} * first;
+  for (std::uint32_t& w : out) {
+    w = get_u32(p);
+    p += 4;
   }
-  out.count = count;
 }
 
 std::vector<std::uint8_t> encode_verdict(std::uint64_t accesses,

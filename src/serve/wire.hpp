@@ -57,7 +57,6 @@
 #include "util/error.hpp"
 
 #include "cache/stats.hpp"
-#include "trace/shard.hpp"
 
 namespace stcache::serve {
 
@@ -126,10 +125,16 @@ struct Hello {
 Hello decode_hello(std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> encode_chunk(std::span<const std::uint32_t> words);
-// Copies the words into `out` (resizing as needed) and verifies the
-// declared CRC-32; throws Error mentioning "crc" on a checksum mismatch
-// and "chunk" on structural problems.
-void decode_chunk(std::span<const std::uint8_t> payload, PooledChunk& out);
+// Verifies a CHUNK payload, its structure and then the declared CRC-32
+// over all of its words, and returns the word count. Throws Error
+// mentioning "crc" on a checksum mismatch and "chunk" on structural
+// problems.
+std::size_t check_chunk(std::span<const std::uint8_t> payload);
+// Decodes words [first, first + out.size()) of a payload check_chunk()
+// accepted into `out`. The server uses the offset to split one CHUNK
+// across several pool buffers (docs/serving.md §3).
+void decode_chunk(std::span<const std::uint8_t> payload, std::size_t first,
+                  std::span<std::uint32_t> out);
 
 std::vector<std::uint8_t> encode_verdict(std::uint64_t accesses,
                                          std::span<const CacheStats> stats);

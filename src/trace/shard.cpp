@@ -44,6 +44,11 @@ bool ChunkPool::acquire_until(std::chrono::steady_clock::time_point deadline,
 }
 
 void ChunkPool::release(PooledChunk&& chunk) {
+  // The memory bound: every buffer the pool hands out comes back at the
+  // size it left with, so the pool never holds more than capacity ×
+  // chunk_words words.
+  STC_ASSERT(chunk.words.size() == chunk_words_,
+             "chunk pool: released buffer was resized");
   {
     std::lock_guard<std::mutex> lock(mu_);
     free_.push_back(std::move(chunk));

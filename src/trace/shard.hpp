@@ -93,7 +93,8 @@ class ChunkPool {
   // after shutdown().
   bool acquire_until(std::chrono::steady_clock::time_point deadline,
                      PooledChunk& out);
-  // Hand a buffer back; never blocks.
+  // Hand a buffer back; never blocks. Throws (an internal-invariant
+  // failure) if the buffer is not exactly chunk_words long.
   void release(PooledChunk&& chunk);
   // Unblock every acquire() with an error; release() still accepted.
   void shutdown();

@@ -5,9 +5,10 @@
 #     on SIGTERM and when --max-sessions is reached;
 #   - stcache_tunec renders a verdict byte-identical to
 #     `stcache_tune --exhaustive` on the same stream;
-#   - runtime failures (empty stream, poisoned session) exit 1 with
-#     exactly one "error: ..." line; usage errors exit 2; a daemon that
-#     cannot be reached exits 3 (distinct from mid-session loss);
+#   - runtime failures (empty stream, poisoned session, a missing or
+#     corrupt .stct in file mode) exit 1 with exactly one "error: ..."
+#     line; usage errors exit 2; a daemon that cannot be reached exits 3
+#     (distinct from mid-session loss);
 #   - SIGINT and SIGTERM both drain gracefully and print the shutdown
 #     summary (`served N sessions (P poisoned, S shed, T timed out)`).
 # Invoked by ctest as:
@@ -153,6 +154,38 @@ code=$?
 check "daemon exits 0 after its second session batch" [ "$code" -eq 0 ]
 check "summary counts the poisoned session" \
     grep -q '^served 3 sessions (1 poisoned, 0 shed, 0 timed out)' "$TMPDIR/daemon.log"
+DAEMON_PID=
+
+# --- file-mode failures: the client rejects a bad trace before any session --
+
+start_daemon "$SOCK" --max-sessions 1
+
+expect 1 "tunec on a missing trace file" \
+    "$TUNEC" --socket "$SOCK" "$TMPDIR/nope.stct" I
+
+# Corrupt an address byte of the first record, as cli_exit_codes_test.sh
+# does: the kind byte stays valid, so only the v2 footer CRC catches it.
+# Two candidate bytes guarantee the overwrite changes the file.
+cp "$TMPDIR/crc.stct" "$TMPDIR/corrupt.stct"
+printf '\027' | dd of="$TMPDIR/corrupt.stct" bs=1 seek=18 count=1 conv=notrunc 2>/dev/null
+if cmp -s "$TMPDIR/crc.stct" "$TMPDIR/corrupt.stct"; then
+    printf '\031' | dd of="$TMPDIR/corrupt.stct" bs=1 seek=18 count=1 conv=notrunc 2>/dev/null
+fi
+expect 1 "tunec on a trace whose footer CRC fails" \
+    "$TUNEC" --socket "$SOCK" "$TMPDIR/corrupt.stct" I
+"$TUNEC" --socket "$SOCK" "$TMPDIR/corrupt.stct" I > "$TMPDIR/corrupt.out" 2>/dev/null
+check "tunec prints no report for a corrupt trace" [ ! -s "$TMPDIR/corrupt.out" ]
+
+# Neither failure reached the daemon: its one session is a clean file-mode
+# run, byte-identical to the in-process exhaustive tune.
+"$TUNEC" --socket "$SOCK" "$TMPDIR/crc.stct" I > "$TMPDIR/after_bad.txt" 2>/dev/null
+check "clean file-mode session after the rejected traces" \
+    cmp -s "$TMPDIR/after_bad.txt" "$TMPDIR/local.txt"
+wait "$DAEMON_PID"
+code=$?
+check "daemon exits 0 after the file-mode batch" [ "$code" -eq 0 ]
+check "file-mode failures never became sessions" \
+    grep -q '^served 1 sessions (0 poisoned, 0 shed, 0 timed out)' "$TMPDIR/daemon.log"
 DAEMON_PID=
 
 # --- SIGTERM shutdown --------------------------------------------------------

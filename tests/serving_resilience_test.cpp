@@ -252,27 +252,32 @@ TEST(ServingResilience, OverloadSheddingRefusesWithRetryAfter) {
   server.start();
   const std::span<const std::uint32_t> sel(crc_ifetch().data(), 8192);
 
-  // Occupy the single admission slot with an open-ended session.
+  // Occupy the single admission slot with an open-ended session. Its
+  // HELLO is processed asynchronously, and a probe sent before then could
+  // take the slot and get the hog refused instead, so wait (bounded)
+  // until the server has admitted the hog.
   TuneClient hog(opts.socket_path, true, 512);
   hog.send({sel.data(), 1024});
-
-  // The hog's HELLO is processed asynchronously; poll until admission
-  // control sees the slot taken (bounded, so a regression fails typed).
-  bool shed = false;
-  std::uint16_t hint = 0;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!shed && std::chrono::steady_clock::now() < deadline) {
-    try {
-      serve::tune_remote(opts.socket_path, true, {sel.data(), 512}, 512);
-    } catch (const TuneError& e) {
-      ASSERT_EQ(e.kind(), TuneErrorKind::kOverload) << e.what();
-      EXPECT_TRUE(e.retryable());
-      shed = true;
-      hint = e.retry_after_ms();
-    }
+  while (server.sessions_in_flight() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_TRUE(shed) << "admission control never refused";
+  ASSERT_EQ(server.sessions_in_flight(), 1u) << "the hog was never admitted";
+
+  // With the slot taken, admission control must refuse the next session.
+  bool shed = false;
+  std::uint16_t hint = 0;
+  try {
+    serve::tune_remote(opts.socket_path, true, {sel.data(), 512}, 512);
+  } catch (const TuneError& e) {
+    ASSERT_EQ(e.kind(), TuneErrorKind::kOverload) << e.what();
+    EXPECT_TRUE(e.retryable());
+    shed = true;
+    hint = e.retry_after_ms();
+  }
+  ASSERT_TRUE(shed) << "admission control did not refuse";
   EXPECT_EQ(hint, 37);  // the server's configured reconnect hint
   EXPECT_GE(server.sessions_shed(), 1u);
 

@@ -277,6 +277,31 @@ TEST(Serving, VerdictStableUnderTightPoolAndBudget) {
   EXPECT_EQ(v.stats, local_bank(sel));
 }
 
+TEST(Serving, FramesLargerThanAPoolBufferAreSplitIntoPoolBuffers) {
+  // A CHUNK may carry up to kMaxChunkWords words, far more than one pool
+  // buffer holds. The reader must split each 4096-word frame into pool
+  // buffers of at most 256 words. ChunkPool::release() throws on a buffer
+  // that is not exactly chunk_words long, so a reader that grew a buffer
+  // to fit the frame ends the shard worker, and this test, instead of
+  // passing. The verdict stays bit-identical to the in-process bank; the
+  // 300-word tail makes the last frame and its last piece short.
+  ServerOptions opts;
+  opts.socket_path = socket_path("split");
+  opts.workers = 1;
+  opts.pool_chunks = 2;
+  opts.chunk_words = 256;
+  opts.session_budget = 1;
+  TuningServer server(opts);
+  server.start();
+  const std::span<const std::uint32_t> sel(crc_ifetch().data(), 65536 + 300);
+  const Verdict v = serve::tune_remote(opts.socket_path, true, sel, 4096);
+  server.stop();
+  EXPECT_EQ(v.accesses, sel.size());
+  EXPECT_EQ(v.stats, local_bank(sel));
+  EXPECT_EQ(server.sessions_served(), 1u);
+  EXPECT_EQ(server.sessions_poisoned(), 0u);
+}
+
 TEST(Serving, StaleSocketIsReclaimedLiveSocketIsNot) {
   const std::string path = socket_path("stale");
   // Leave a dead socket file behind (bound, never unlinked, no listener).

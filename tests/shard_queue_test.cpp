@@ -41,6 +41,15 @@ TEST(ChunkPool, RecyclesBuffersWithoutReallocating) {
   EXPECT_EQ(pool.available(), 2u);
 }
 
+TEST(ChunkPool, ReleaseRejectsAResizedBuffer) {
+  // The pool's memory bound is capacity × chunk_words words: a buffer that
+  // comes back at another size is a caller bug, caught at the hand-back.
+  ChunkPool pool(1, 16);
+  PooledChunk c = pool.acquire();
+  c.words.resize(64);
+  EXPECT_THROW(pool.release(std::move(c)), Error);
+}
+
 TEST(ChunkPool, ExhaustionBlocksAcquireUntilRelease) {
   ChunkPool pool(1, 16);
   PooledChunk held = pool.acquire();

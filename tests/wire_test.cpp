@@ -1,9 +1,10 @@
 // Edge-of-contract tests of the wire layer (serve/wire.hpp): frame-size
-// boundaries (exactly at the 4 MiB cap, one byte over), degenerate CHUNK
-// payloads, torn length prefixes, deadline-bounded I/O, and the protocol
-// v1/v2 negotiation rules (retry-after field, version window). Every
-// blocking call in here carries a deadline, so a regression that would
-// hang surfaces as a WireTimeout failure, never a stuck test.
+// boundaries (exactly at the 4 MiB cap, one byte over), the exact CHUNK
+// bytes, degenerate CHUNK payloads, torn length prefixes, deadline-bounded
+// I/O, and the protocol v1/v2 negotiation rules (retry-after field,
+// version window). Every blocking call in here carries a deadline, so a
+// regression that would hang surfaces as a WireTimeout failure, never a
+// stuck test.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "serve/wire.hpp"
-#include "trace/shard.hpp"
 #include "util/error.hpp"
 
 namespace stcache {
@@ -93,15 +93,55 @@ TEST(Wire, FrameOneByteOverTheCapIsRejectedBeforeAllocation) {
   }
 }
 
-// --- degenerate CHUNK payloads -----------------------------------------------
+// --- CHUNK payloads -----------------------------------------------------------
+
+TEST(Wire, ChunkGoldenBytes) {
+  // The exact CHUNK payload of five fixed words: u32 count, u32 CRC-32 and
+  // the words, all little-endian. 0xa9553ef6 is zlib.crc32() of the 20
+  // word bytes, so a peer built from any earlier revision reads these
+  // frames and writes the same ones.
+  const std::vector<std::uint32_t> words = {0x00000001u, 0x80000010u,
+                                            0xDEADBEEFu, 0x7FFFFFFFu,
+                                            0x01234567u};
+  const std::vector<std::uint8_t> golden = {
+      0x05, 0x00, 0x00, 0x00,  // word count
+      0xf6, 0x3e, 0x55, 0xa9,  // CRC-32 of the word bytes
+      0x01, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x80, 0xef, 0xbe,
+      0xad, 0xde, 0xff, 0xff, 0xff, 0x7f, 0x67, 0x45, 0x23, 0x01};
+  EXPECT_EQ(serve::encode_chunk(words), golden);
+
+  ASSERT_EQ(serve::check_chunk(golden), words.size());
+  std::vector<std::uint32_t> decoded(words.size());
+  serve::decode_chunk(golden, 0, decoded);
+  EXPECT_EQ(decoded, words);
+  // A window at an offset decodes the same words the whole payload holds.
+  std::vector<std::uint32_t> tail(2);
+  serve::decode_chunk(golden, 3, tail);
+  EXPECT_EQ(tail, std::vector<std::uint32_t>(words.begin() + 3, words.end()));
+
+  // Any single flipped byte is caught: in the CRC or a word it is a CRC
+  // mismatch (the server's `chunk-crc`), in the count a structural error.
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    std::vector<std::uint8_t> bad = golden;
+    bad[i] ^= 0x01;
+    try {
+      serve::check_chunk(bad);
+      FAIL() << "flipped byte " << i << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("chunk"), std::string::npos) << what;
+      EXPECT_EQ(what.find("crc") != std::string::npos, i >= 4)
+          << "byte " << i << ": " << what;
+    }
+  }
+}
 
 TEST(Wire, ZeroLengthChunkPayloadIsATypedError) {
   // A CHUNK frame with an empty payload parses at the frame layer (the
-  // length prefix is honest) and must die in decode_chunk, not crash it.
-  PooledChunk chunk;
-  EXPECT_THROW(serve::decode_chunk({}, chunk), Error);
+  // length prefix is honest) and must die in check_chunk, not crash it.
+  EXPECT_THROW(serve::check_chunk({}), Error);
   try {
-    serve::decode_chunk({}, chunk);
+    serve::check_chunk({});
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("chunk"), std::string::npos);
   }
@@ -111,9 +151,8 @@ TEST(Wire, ZeroWordCountChunkIsATypedError) {
   // Structurally complete header declaring zero words: rejected on the
   // count, before any CRC work.
   const std::uint8_t payload[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  PooledChunk chunk;
   try {
-    serve::decode_chunk(std::span<const std::uint8_t>(payload, 8), chunk);
+    serve::check_chunk(std::span<const std::uint8_t>(payload, 8));
     FAIL() << "expected a bad-word-count error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("bad word count"), std::string::npos);
