@@ -16,7 +16,6 @@
 // measured — so it is inherently a reference-model experiment: the cold
 // fixed-config fast/oneshot replay engines do not apply here (see
 // docs/performance.md on engine scope).
-#include <functional>
 #include <iostream>
 
 #include "common.hpp"
@@ -38,31 +37,25 @@ struct SearchPhaseCost {
 SearchPhaseCost naive_search(std::span<const TraceRecord> stream,
                              const EnergyModel& model) {
   SearchPhaseCost out;
-  const auto& configs = all_configs();
-  ConfigurableCache cache(configs.front());
-  const std::size_t slice = stream.size() / configs.size();
-  double best = 0.0;
-  bool first = true;
-  for (std::size_t k = 0; k < configs.size(); ++k) {
-    if (k > 0) {
+  ConfigurableCache cache(all_configs().front());
+  const std::size_t slice = stream.size() / all_configs().size();
+  auto measure = [&](const CacheConfig& cfg) {
+    if (out.configs > 0) {
       out.flush_writebacks += cache.flush();  // "to ensure correct behavior"
-      cache.reconfigure(configs[k]);
+      cache.reconfigure(cfg);
     }
     const CacheStats before = cache.stats();
-    const std::size_t begin = k * slice;
+    const std::size_t begin = out.configs * slice;
     for (std::size_t i = begin; i < begin + slice; ++i) {
       cache.access(stream[i].addr, stream[i].kind == AccessKind::kWrite);
     }
-    const CacheStats delta = cache.stats() - before;
-    const double e = model.evaluate(configs[k], delta).total();
-    out.energy += e;
-    if (first || e < best) {
-      best = e;
-      out.chosen = configs[k];
-      first = false;
-    }
     ++out.configs;
-  }
+    const CacheStats delta = cache.stats() - before;
+    const double e = model.evaluate(cfg, delta).total();
+    out.energy += e;
+    return e;
+  };
+  out.chosen = exhaustive_scan(platform_space(), measure).best;
   return out;
 }
 
@@ -89,19 +82,7 @@ SearchPhaseCost heuristic_search(std::span<const TraceRecord> stream,
     out.energy += e;
     return e;
   };
-
-  class MeasureEvaluator final : public Evaluator {
-   public:
-    explicit MeasureEvaluator(std::function<double(const CacheConfig&)> fn)
-        : fn_(std::move(fn)) {}
-    double energy(const CacheConfig& cfg) override { return fn_(cfg); }
-    unsigned evaluations() const override { return 0; }
-
-   private:
-    std::function<double(const CacheConfig&)> fn_;
-  };
-  MeasureEvaluator eval(measure);
-  out.chosen = tune(eval).best;
+  out.chosen = greedy_walk(platform_space(), measure).best;
   return out;
 }
 

@@ -205,13 +205,9 @@ int run(int argc, char** argv) {
     whole.feed(words);
     const std::vector<CacheStats> whole_stats = whole.stats();
     TraceEvaluator eval(std::span<const std::uint32_t>{}, model);
-    prime_all(eval, configs, whole_stats);
+    eval.prime_from(configs, whole_stats);
     const SearchResult static_r = tune(eval);
-    std::size_t static_idx = 0;
-    for (std::size_t c = 0; c < configs.size(); ++c)
-      if (configs[c] == static_r.best) static_idx = c;
-    const double static_energy =
-        model.evaluate(static_r.best, whole_stats[static_idx]).total();
+    const double static_energy = static_r.best_energy;
 
     // Adaptive and naive tuners over the same stream.
     PhaseAdaptiveTuner adaptive = run_tuner(configs, model, words, true);
@@ -226,13 +222,9 @@ int run(int argc, char** argv) {
     for (const PhaseSegment& seg : mix.segments) {
       BankAccumulator bank(configs);
       bank.feed(words.subspan(seg.begin, seg.end - seg.begin));
-      const std::vector<CacheStats> stats = bank.stats();
-      double best = 0.0;
-      for (std::size_t c = 0; c < configs.size(); ++c) {
-        const double e = model.evaluate(configs[c], stats[c]).total();
-        if (c == 0 || e < best) best = e;
-      }
-      oracle_energy += best;
+      TraceEvaluator seg_eval(std::span<const std::uint32_t>{}, model);
+      seg_eval.prime_from(configs, bank.stats());
+      oracle_energy += tune_exhaustive(seg_eval).best_energy;
     }
 
     Table table({"policy", "energy", "vs oracle", "full sweeps", "evals"});

@@ -81,9 +81,7 @@ int main(int argc, char** argv) {
   for (const bool instruction : {true, false}) {
     const serve::Verdict& v = verdicts[instruction ? 0 : 1];
     TraceEvaluator eval(std::span<const std::uint32_t>{}, model);
-    for (std::size_t j = 0; j < all_configs().size(); ++j) {
-      eval.prime(all_configs()[j], v.stats[j]);
-    }
+    eval.prime_from(all_configs(), v.stats);
     const SearchResult heur = tune(eval);
     const SearchResult best = tune_exhaustive(eval);
     const double base = eval.energy(base_cache());

@@ -6,7 +6,7 @@
 #   ./repro.sh           full pipeline (build, all tests, TSan sweep+shard
 #                        +stream+serving+chaos+phase tests, ASan/UBSan fault
 #                        +trace+mmap+interpreter+crc32+serving+wire+chaos
-#                        +phase tests, the
+#                        +phase+search tests, the
 #                        throughput/capture/end-to-end/simd/parallel/serving/
 #                        resilience/scaled-sweep/phase gates, the
 #                        sharded-sweep, trace-file, scaled-space, serving and
@@ -18,7 +18,10 @@
 #                        replay-equivalence, stack-sweep, sharded-sweep,
 #                        fast-interpreter differential, stream, CRC-32,
 #                        serving, wire and chaos tests (native and
-#                        ASan/UBSan) + --jobs/--sweep-jobs/partition-count
+#                        ASan/UBSan) + the search-layer tests (heuristic,
+#                        exhaustive, evaluators, scaled and two-level spaces,
+#                        tuner FSMD and stepper; native and ASan/UBSan)
+#                        + --jobs/--sweep-jobs/partition-count
 #                        determinism checks on bench_fig3 and stcache_tune,
 #                        the trace-file vs workload-mode cmp, the --space
 #                        and --phases cmps across shard counts, + the
@@ -80,7 +83,7 @@ RESILIENCE_FILTER=
 # length-prefixed frame parsing and the chunk pool's recycled buffers are
 # classic overrun territory.
 cmake -B build-asan -S . -DSTCACHE_SANITIZE=address,undefined > /dev/null
-cmake --build build-asan -j "$(nproc)" --target fault_test trace_io_test mmap_trace_test replay_equivalence_test stack_sweep_test fast_cpu_test stream_test crc32_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test
+cmake --build build-asan -j "$(nproc)" --target fault_test trace_io_test mmap_trace_test replay_equivalence_test stack_sweep_test fast_cpu_test stream_test crc32_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test heuristic_test evaluator_test scaled_space_test multilevel_test tuner_fsmd_test tuner_stepper_test search_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/trace_io_test
 # The out-of-core reader does raw pointer arithmetic over an mmap'd file
@@ -116,6 +119,17 @@ fi
 # suites re-run under ASan/UBSan where an off-by-one cannot hide.
 ./build-asan/tests/phase_test
 ./build-asan/tests/phase_mix_test
+# Every search runs through core/search.hpp's walks over descriptor-keyed
+# memo evaluators whose stats() references must survive memo growth; the
+# search suites re-run here so a dangling reference or an out-of-range axis
+# value cannot hide behind a passing assertion.
+./build-asan/tests/heuristic_test
+./build-asan/tests/evaluator_test
+./build-asan/tests/scaled_space_test
+./build-asan/tests/multilevel_test
+./build-asan/tests/tuner_fsmd_test
+./build-asan/tests/tuner_stepper_test
+./build-asan/tests/search_test
 
 # Serving determinism gate helpers: a loopback stcache_tuned daemon must
 # render verdicts byte-identical to the in-process `stcache_tune
@@ -150,7 +164,7 @@ serve_cmp() {
 }
 
 if [ "$QUICK" = "1" ]; then
-    STCACHE_BIG_TRACE_RECORDS=2000000 ctest --test-dir build -R 'ThreadPool|SweepRunner|ShardedSweep|Fault|TraceIo|MmapTrace|ReplayEquivalence|StackSweep|FastCpu|Workload|Spsc|Stream|BankAccumulator|PackedTraceIo|Crc32|ChunkPool|ShardQueue|Serving|Wire|Phase' --output-on-failure
+    STCACHE_BIG_TRACE_RECORDS=2000000 ctest --test-dir build -R 'ThreadPool|SweepRunner|ShardedSweep|Fault|TraceIo|MmapTrace|ReplayEquivalence|StackSweep|FastCpu|Workload|Spsc|Stream|BankAccumulator|PackedTraceIo|Crc32|ChunkPool|ShardQueue|Serving|Wire|Phase|Heuristic|Exhaustive|ParamOrders|AscendingCandidates|TraceEvaluator|ScaledEvaluator|ScaledSpace|ScaledTune|TwoLevel|TunerFsmdTest|TunerStepperTest|SearchLayer' --output-on-failure
 
     # Determinism gate: the parallel sweep must reproduce the serial table
     # byte for byte (metrics go to stderr, so stdout is comparable).

@@ -6,6 +6,7 @@
 // LRU replacement.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -21,7 +22,7 @@ struct CacheGeometry {
   std::uint32_t num_sets() const { return size_bytes / (assoc * line_bytes); }
   bool valid() const;
 
-  friend bool operator==(const CacheGeometry&, const CacheGeometry&) = default;
+  friend auto operator<=>(const CacheGeometry&, const CacheGeometry&) = default;
 };
 
 class CacheModel {

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <array>
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -81,7 +82,7 @@ struct CacheConfig {
   // malformed or illegal configurations.
   static CacheConfig parse(const std::string& name);
 
-  friend bool operator==(const CacheConfig&, const CacheConfig&) = default;
+  friend auto operator<=>(const CacheConfig&, const CacheConfig&) = default;
 };
 
 // All legal configurations in a deterministic order (size-major, then line,

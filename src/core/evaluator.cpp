@@ -5,43 +5,55 @@
 
 namespace stcache {
 
-TraceEvaluator::TraceEvaluator(std::span<const TraceRecord> stream,
-                               const EnergyModel& model, TimingParams timing)
+namespace {
+
+double equation1(const EnergyModel& model, const CacheConfig& cfg,
+                 const CacheStats& stats) {
+  return model.evaluate(cfg, stats).total();
+}
+
+double equation1(const EnergyModel& model, const CacheGeometry& g,
+                 const CacheStats& stats) {
+  return model.evaluate_generic(g, stats).total();
+}
+
+}  // namespace
+
+template <class Desc>
+MemoEvaluator<Desc>::MemoEvaluator(std::span<const TraceRecord> stream,
+                                   const EnergyModel& model,
+                                   TimingParams timing)
     : owned_(pack_stream(stream)), model_(&model), timing_(timing) {}
 
-const TraceEvaluator::Entry& TraceEvaluator::measure(const CacheConfig& cfg) {
-  auto it = cache_.find(cfg.name());
-  if (it == cache_.end()) {
-    BankAccumulator bank(std::span<const CacheConfig>(&cfg, 1), timing_);
-    bank.feed(words());
-    Entry e;
-    e.stats = bank.stats().front();
-    e.energy = model_->evaluate(cfg, e.stats).total();
-    it = cache_.emplace(cfg.name(), e).first;
-  }
-  return it->second;
+template <class Desc>
+const typename MemoEvaluator<Desc>::Entry& MemoEvaluator<Desc>::measure(
+    const Desc& d) {
+  prime(std::span<const Desc>(&d, 1));  // a miss measures a bank of one
+  return memo_.at(d);
 }
 
-void TraceEvaluator::prime(const CacheConfig& cfg, const CacheStats& stats) {
-  if (cache_.contains(cfg.name())) return;
-  Entry e;
-  e.stats = stats;
-  e.energy = model_->evaluate(cfg, e.stats).total();
-  cache_.emplace(cfg.name(), e);
+template <class Desc>
+void MemoEvaluator<Desc>::prime(std::span<const Desc> descs) {
+  std::vector<Desc> missing;
+  for (const Desc& d : descs)
+    if (!memo_.contains(d)) missing.push_back(d);
+  if (missing.empty()) return;
+  BankAccumulator bank(std::span<const Desc>(missing), timing_);
+  bank.feed(words());
+  prime_from(missing, bank.stats());
 }
 
-double TraceEvaluator::energy(const CacheConfig& cfg) { return measure(cfg).energy; }
-
-const CacheStats& TraceEvaluator::stats(const CacheConfig& cfg) {
-  return measure(cfg).stats;
+template <class Desc>
+void MemoEvaluator<Desc>::prime_from(std::span<const Desc> descs,
+                                     std::span<const CacheStats> stats) {
+  if (descs.size() != stats.size())
+    fail("MemoEvaluator::prime_from: descriptor/stats size mismatch");
+  for (std::size_t i = 0; i < descs.size(); ++i)
+    memo_.try_emplace(descs[i],
+                      Entry{stats[i], equation1(*model_, descs[i], stats[i])});
 }
 
-void prime_all(TraceEvaluator& eval, std::span<const CacheConfig> configs,
-               std::span<const CacheStats> stats) {
-  if (configs.size() != stats.size())
-    fail("prime_all: configs/stats size mismatch");
-  for (std::size_t i = 0; i < configs.size(); ++i)
-    eval.prime(configs[i], stats[i]);
-}
+template class MemoEvaluator<CacheConfig>;
+template class MemoEvaluator<CacheGeometry>;
 
 }  // namespace stcache

@@ -10,9 +10,9 @@
 #include <cstdint>
 #include <map>
 #include <span>
-#include <string>
 #include <vector>
 
+#include "cache/cache_model.hpp"
 #include "cache/config.hpp"
 #include "cache/stats.hpp"
 #include "energy/energy_model.hpp"
@@ -20,56 +20,69 @@
 
 namespace stcache {
 
-class Evaluator {
+template <class Desc>
+class BasicEvaluator {
  public:
-  virtual ~Evaluator() = default;
-  // Total energy (joules) of running the workload under `cfg`.
-  virtual double energy(const CacheConfig& cfg) = 0;
-  // Number of distinct configurations evaluated so far (the paper's "No."
-  // column; repeated queries for an already-measured configuration are
-  // free, as the tuner registers hold the previous result).
+  virtual ~BasicEvaluator() = default;
+  // Total energy (joules) of running the workload under `d`.
+  virtual double energy(const Desc& d) = 0;
+  // Number of distinct points evaluated so far (the paper's "No." column;
+  // repeated queries for an already-measured point are free, as the tuner
+  // registers hold the previous result).
   virtual unsigned evaluations() const = 0;
 };
 
-// Full-trace evaluator: replays the (single-cache) address stream through a
-// cold cache per configuration and applies Equation 1. Results are
-// memoized.
-class TraceEvaluator final : public Evaluator {
+using Evaluator = BasicEvaluator<CacheConfig>;
+
+// Full-trace evaluator over platform configurations (CacheConfig, energy by
+// EnergyModel::evaluate) or generic geometries (CacheGeometry, energy by
+// evaluate_generic; line_bytes >= 16, as packed words are 16 B blocks):
+// replays the single-cache address stream through a cold cache per point
+// and applies Equation 1. Results are memoized by descriptor; a memo miss
+// measures a BankAccumulator bank of one.
+template <class Desc>
+class MemoEvaluator final : public BasicEvaluator<Desc> {
  public:
   // Packs the record stream once, here; every measurement replays the
   // packed words.
-  TraceEvaluator(std::span<const TraceRecord> stream, const EnergyModel& model,
-                 TimingParams timing = {});
+  MemoEvaluator(std::span<const TraceRecord> stream, const EnergyModel& model,
+                TimingParams timing = {});
 
   // Packed-stream variant (capture_packed / load_packed_trace output),
   // borrowed for the evaluator's lifetime: the in-process tuning pipeline
   // evaluates without ever materializing a TraceRecord AoS.
-  TraceEvaluator(std::span<const std::uint32_t> packed_stream,
-                 const EnergyModel& model, TimingParams timing = {})
+  MemoEvaluator(std::span<const std::uint32_t> packed_stream,
+                const EnergyModel& model, TimingParams timing = {})
       : packed_(packed_stream), model_(&model), timing_(timing) {}
 
-  double energy(const CacheConfig& cfg) override;
+  double energy(const Desc& d) override { return measure(d).energy; }
   unsigned evaluations() const override {
-    return static_cast<unsigned>(cache_.size());
+    return static_cast<unsigned>(memo_.size());
   }
 
-  // Full breakdown and stats of a configuration (measured on demand, as a
-  // BankAccumulator bank of one).
-  const CacheStats& stats(const CacheConfig& cfg);
+  // Full stats of a point (measured on demand). The reference stays valid
+  // for the evaluator's lifetime, however many points are memoized later.
+  const CacheStats& stats(const Desc& d) { return measure(d).stats; }
 
-  // Pre-populate the memo with an externally measured replay result (the
-  // parallel sweep path measures configurations on worker threads, then
-  // primes a serial evaluator so searches over it are pure lookups).
-  // Energy is derived exactly as measure() derives it; a configuration
-  // already in the memo is left untouched.
-  void prime(const CacheConfig& cfg, const CacheStats& stats);
+  // Measure every not-yet-memoized point of `descs` in one bank pass (one
+  // stack-distance traversal per line-size family, sharded by
+  // default_sweep_jobs()), so searches over them are pure lookups.
+  void prime(std::span<const Desc> descs);
+
+  // Memoize externally measured stats (stats[i] ~ descs[i], e.g. a
+  // BankAccumulator or daemon VERDICT bank), deriving energy exactly as a
+  // measurement does; a point already in the memo is left untouched. Lets
+  // report renderers and the phase tuner search without touching the
+  // stream.
+  void prime_from(std::span<const Desc> descs,
+                  std::span<const CacheStats> stats);
 
  private:
   struct Entry {
     CacheStats stats;
     double energy = 0.0;
   };
-  const Entry& measure(const CacheConfig& cfg);
+  const Entry& measure(const Desc& d);
   std::span<const std::uint32_t> words() const {
     return owned_.empty() ? packed_ : std::span<const std::uint32_t>(owned_);
   }
@@ -78,14 +91,13 @@ class TraceEvaluator final : public Evaluator {
   std::span<const std::uint32_t> packed_;  // packed constructor: borrowed
   const EnergyModel* model_;
   TimingParams timing_;
-  std::map<std::string, Entry> cache_;
+  std::map<Desc, Entry> memo_;  // node-based: stats() references stay valid
 };
 
-// Prime an evaluator with a whole bank sweep result (index-aligned configs
-// and stats, e.g. BankAccumulator::stats()). Searches over the primed
-// evaluator are then pure lookups — report.cpp and the phase-adaptive
-// tuner both close their sweeps this way.
-void prime_all(TraceEvaluator& eval, std::span<const CacheConfig> configs,
-               std::span<const CacheStats> stats);
+extern template class MemoEvaluator<CacheConfig>;
+extern template class MemoEvaluator<CacheGeometry>;
+
+using TraceEvaluator = MemoEvaluator<CacheConfig>;
+using ScaledEvaluator = MemoEvaluator<CacheGeometry>;
 
 }  // namespace stcache

@@ -16,100 +16,47 @@ std::string to_string(Param p) {
   fail("to_string(Param): bad value");
 }
 
-// Values of a parameter in ascending (flush-free) order, starting AFTER the
-// current value of `cfg`; each candidate keeps the other parameters fixed.
+namespace {
+
+// The platform's axes, indexed by Param.
+const std::array<Axis<CacheConfig>, 4>& platform_axes() {
+  static const std::array<Axis<CacheConfig>, 4> axes = {
+      member_axis(&CacheConfig::size_kb, kCacheSizes),
+      member_axis(&CacheConfig::line, kLineSizes),
+      member_axis(&CacheConfig::assoc, kAssocs),
+      member_axis(&CacheConfig::way_prediction, std::array{false, true}),
+  };
+  return axes;
+}
+
+}  // namespace
+
 std::vector<CacheConfig> ascending_candidates(const CacheConfig& cfg, Param p) {
-  std::vector<CacheConfig> out;
-  switch (p) {
-    case Param::kSize:
-      for (CacheSizeKB s : kCacheSizes) {
-        if (static_cast<unsigned>(s) > static_cast<unsigned>(cfg.size_kb)) {
-          CacheConfig c = cfg;
-          c.size_kb = s;
-          out.push_back(c);
-        }
-      }
-      break;
-    case Param::kLine:
-      for (LineBytes l : kLineSizes) {
-        if (static_cast<unsigned>(l) > static_cast<unsigned>(cfg.line)) {
-          CacheConfig c = cfg;
-          c.line = l;
-          out.push_back(c);
-        }
-      }
-      break;
-    case Param::kAssoc:
-      for (Assoc a : kAssocs) {
-        if (static_cast<unsigned>(a) > static_cast<unsigned>(cfg.assoc)) {
-          CacheConfig c = cfg;
-          c.assoc = a;
-          out.push_back(c);
-        }
-      }
-      break;
-    case Param::kPred:
-      if (!cfg.way_prediction) {
-        CacheConfig c = cfg;
-        c.way_prediction = true;
-        out.push_back(c);
-      }
-      break;
+  return platform_axes()[static_cast<std::size_t>(p)].above(cfg);
+}
+
+DesignSpace<CacheConfig> platform_space(std::array<Param, 4> order) {
+  auto sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  if (sorted != std::array<Param, 4>{Param::kSize, Param::kLine, Param::kAssoc,
+                                     Param::kPred}) {
+    fail("platform_space: order must mention each parameter exactly once");
   }
-  return out;
+  DesignSpace<CacheConfig> space{
+      all_configs(), {CacheSizeKB::k2, Assoc::w1, LineBytes::b16, false}, {}};
+  for (Param p : order)
+    space.axes.push_back(platform_axes()[static_cast<std::size_t>(p)]);
+  return space;
 }
 
 SearchResult tune(Evaluator& eval, std::array<Param, 4> order) {
-  {
-    // The order must be a permutation of the four parameters.
-    auto sorted = order;
-    std::sort(sorted.begin(), sorted.end());
-    if (sorted != std::array<Param, 4>{Param::kSize, Param::kLine, Param::kAssoc,
-                                       Param::kPred}) {
-      fail("tune: order must mention each parameter exactly once");
-    }
-  }
-
-  SearchResult r;
-  CacheConfig current{CacheSizeKB::k2, Assoc::w1, LineBytes::b16, false};
-  double current_energy = eval.energy(current);
-  r.visited.push_back(current);
-  ++r.configs_examined;
-
-  for (Param p : order) {
-    for (const CacheConfig& cand : ascending_candidates(current, p)) {
-      if (!cand.valid()) break;  // cannot grow this parameter further here
-      const double e = eval.energy(cand);
-      r.visited.push_back(cand);
-      ++r.configs_examined;
-      if (e < current_energy) {
-        current = cand;
-        current_energy = e;
-      } else {
-        break;  // energy stopped improving; keep the best seen
-      }
-    }
-  }
-
-  r.best = current;
-  r.best_energy = current_energy;
-  return r;
+  return greedy_walk(platform_space(order),
+                     [&](const CacheConfig& c) { return eval.energy(c); });
 }
 
 SearchResult tune_exhaustive(Evaluator& eval) {
-  SearchResult r;
-  bool first = true;
-  for (const CacheConfig& cfg : all_configs()) {
-    const double e = eval.energy(cfg);
-    r.visited.push_back(cfg);
-    ++r.configs_examined;
-    if (first || e < r.best_energy) {
-      r.best = cfg;
-      r.best_energy = e;
-      first = false;
-    }
-  }
-  return r;
+  return exhaustive_scan(platform_space(),
+                         [&](const CacheConfig& c) { return eval.energy(c); });
 }
 
 std::vector<std::array<Param, 4>> all_param_orders() {

@@ -12,7 +12,8 @@
 //
 // Each parameter walk stops at the first value that increases energy and
 // keeps the best value seen. The heuristic evaluates at most
-// sum(parameter values) configurations instead of the product.
+// sum(parameter values) configurations instead of the product. The walk
+// itself is core/search.hpp's greedy_walk over the platform space.
 #pragma once
 
 #include <array>
@@ -20,6 +21,7 @@
 
 #include "cache/config.hpp"
 #include "core/evaluator.hpp"
+#include "core/search.hpp"
 
 namespace stcache {
 
@@ -29,17 +31,15 @@ enum class Param : std::uint8_t { kSize, kLine, kAssoc, kPred };
 inline constexpr std::array<Param, 4> kPaperOrder = {Param::kSize, Param::kLine,
                                                      Param::kAssoc, Param::kPred};
 
-struct SearchResult {
-  CacheConfig best;
-  double best_energy = 0.0;
-  unsigned configs_examined = 0;
-  // Every configuration evaluated, in evaluation order.
-  std::vector<CacheConfig> visited;
-};
+using SearchResult = BasicSearchResult<CacheConfig, double>;
 
-// Run the heuristic with the given parameter order. The order must contain
-// each Param exactly once. Starts from the 2 KB direct-mapped 16 B-line
-// configuration as the paper prescribes.
+// The 27-configuration platform: all_configs() in scan order, starting from
+// the 2 KB direct-mapped 16 B-line configuration as the paper prescribes,
+// with the four parameter axes in `order`. The order must contain each
+// Param exactly once.
+DesignSpace<CacheConfig> platform_space(std::array<Param, 4> order = kPaperOrder);
+
+// Run the heuristic over platform_space(order).
 SearchResult tune(Evaluator& eval, std::array<Param, 4> order = kPaperOrder);
 
 // Exhaustive baseline: evaluate every legal configuration, return the
@@ -53,9 +53,9 @@ std::vector<std::array<Param, 4>> all_param_orders();
 std::string to_string(Param p);
 
 // Candidate configurations for growing parameter `p` from `cfg`, in
-// ascending order (the flush-free direction). Used by tune() and by the
-// clock-steppable FSMD; candidates may be invalid (e.g. 4-way at 2 KB),
-// which terminates a walk.
+// ascending order (the flush-free direction), from the platform axis of
+// `p`. The clock-steppable FSMD queues them; candidates may be invalid
+// (e.g. 4-way at 2 KB), which terminates its walk.
 std::vector<CacheConfig> ascending_candidates(const CacheConfig& cfg, Param p);
 
 }  // namespace stcache

@@ -1,7 +1,5 @@
 #include "core/multilevel.hpp"
 
-#include <map>
-
 #include "util/error.hpp"
 
 namespace stcache {
@@ -113,92 +111,39 @@ double two_level_energy(const TwoLevelConfig& cfg, const TwoLevelStats& s,
 
 namespace {
 
-class TwoLevelEvaluator {
- public:
-  TwoLevelEvaluator(std::span<const TraceRecord> trace, const EnergyModel& model,
-                    TimingParams timing)
-      : trace_(trace), model_(&model), timing_(timing) {}
+const DesignSpace<TwoLevelConfig>& two_level_space() {
+  static const DesignSpace<TwoLevelConfig> space = [] {
+    DesignSpace<TwoLevelConfig> s;  // start: smallest line sizes everywhere
+    s.axes = {member_axis(&TwoLevelConfig::l1i_line, kL1LineSizes),
+              member_axis(&TwoLevelConfig::l1d_line, kL1LineSizes),
+              member_axis(&TwoLevelConfig::l2_line, kL2LineSizes)};
+    s.points = grid_points(TwoLevelConfig{}, s.axes,
+                           [](const TwoLevelConfig&) { return true; });
+    return s;
+  }();
+  return space;
+}
 
-  double energy(const TwoLevelConfig& cfg) {
-    auto it = memo_.find(cfg.name());
-    if (it == memo_.end()) {
-      const TwoLevelStats stats = simulate_two_level(cfg, trace_, timing_);
-      it = memo_.emplace(cfg.name(), two_level_energy(cfg, stats, *model_)).first;
-      ++evaluations_;
-    }
-    return it->second;
-  }
-
-  unsigned evaluations() const { return evaluations_; }
-
- private:
-  std::span<const TraceRecord> trace_;
-  const EnergyModel* model_;
-  TimingParams timing_;
-  std::map<std::string, double> memo_;
-  unsigned evaluations_ = 0;
-};
+auto simulated_energy(std::span<const TraceRecord> trace,
+                      const EnergyModel& model, TimingParams timing) {
+  return [trace, &model, timing](const TwoLevelConfig& c) {
+    return two_level_energy(c, simulate_two_level(c, trace, timing), model);
+  };
+}
 
 }  // namespace
 
 TwoLevelSearchResult tune_two_level(std::span<const TraceRecord> trace,
                                     const EnergyModel& model,
                                     TimingParams timing) {
-  TwoLevelEvaluator eval(trace, model, timing);
-  TwoLevelSearchResult r;
-  TwoLevelConfig current;  // smallest line sizes everywhere
-  double current_energy = eval.energy(current);
-
-  auto walk = [&](auto apply, std::span<const std::uint32_t> values,
-                  std::uint32_t current_value) {
-    for (std::uint32_t v : values) {
-      if (v <= current_value) continue;
-      TwoLevelConfig cand = current;
-      apply(cand, v);
-      const double e = eval.energy(cand);
-      if (e < current_energy) {
-        current = cand;
-        current_energy = e;
-      } else {
-        break;
-      }
-    }
-  };
-
-  walk([](TwoLevelConfig& c, std::uint32_t v) { c.l1i_line = v; }, kL1LineSizes,
-       current.l1i_line);
-  walk([](TwoLevelConfig& c, std::uint32_t v) { c.l1d_line = v; }, kL1LineSizes,
-       current.l1d_line);
-  walk([](TwoLevelConfig& c, std::uint32_t v) { c.l2_line = v; }, kL2LineSizes,
-       current.l2_line);
-
-  r.best = current;
-  r.best_energy = current_energy;
-  r.configs_examined = eval.evaluations();
-  return r;
+  return greedy_walk(two_level_space(), simulated_energy(trace, model, timing));
 }
 
 TwoLevelSearchResult tune_two_level_exhaustive(std::span<const TraceRecord> trace,
                                                const EnergyModel& model,
                                                TimingParams timing) {
-  TwoLevelEvaluator eval(trace, model, timing);
-  TwoLevelSearchResult r;
-  bool first = true;
-  for (std::uint32_t i : kL1LineSizes) {
-    for (std::uint32_t d : kL1LineSizes) {
-      for (std::uint32_t l2 : kL2LineSizes) {
-        TwoLevelConfig cfg{i, d, l2};
-        const double e = eval.energy(cfg);
-        if (first || e < r.best_energy) {
-          r.best = cfg;
-          r.best_energy = e;
-          first = false;
-        }
-      }
-    }
-  }
-  r.configs_examined = eval.evaluations();
-  return r;
+  return exhaustive_scan(two_level_space(),
+                         simulated_energy(trace, model, timing));
 }
 
 }  // namespace stcache

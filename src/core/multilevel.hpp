@@ -4,9 +4,9 @@
 // 16 KB 8-way L1 instruction and data caches with line sizes
 // {8, 16, 32, 64} B and a unified 256 KB 8-way L2 with line sizes
 // {64, 128, 256, 512} B. The full cross product is 4*4*4 = 64
-// configurations; the one-parameter-at-a-time heuristic examines at most
-// 4+4+4 = 12 (13 counting the re-evaluated start) while finding a
-// near-optimal point.
+// configurations; the one-parameter-at-a-time heuristic (core/search.hpp's
+// greedy_walk) examines at most 1 + 3 + 3 + 3 = 10 (the start, then the
+// values above it on each axis) while finding a near-optimal point.
 #pragma once
 
 #include <array>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cache/cache_model.hpp"
+#include "core/search.hpp"
 #include "energy/energy_model.hpp"
 #include "trace/trace.hpp"
 
@@ -62,19 +63,16 @@ TwoLevelStats simulate_two_level(const TwoLevelConfig& cfg,
 double two_level_energy(const TwoLevelConfig& cfg, const TwoLevelStats& stats,
                         const EnergyModel& model);
 
-struct TwoLevelSearchResult {
-  TwoLevelConfig best;
-  double best_energy = 0.0;
-  unsigned configs_examined = 0;
-};
+using TwoLevelSearchResult = BasicSearchResult<TwoLevelConfig, double>;
 
 // Greedy one-parameter-at-a-time heuristic over (L1I line, L1D line, L2
-// line), each walked ascending while energy improves.
+// line), each walked ascending while energy improves. Each evaluated point
+// is simulated once: neither walk revisits a point.
 TwoLevelSearchResult tune_two_level(std::span<const TraceRecord> trace,
                                     const EnergyModel& model,
                                     TimingParams timing = {});
 
-// Exhaustive 64-point baseline.
+// Exhaustive 64-point baseline, scanned in (L1I, L1D, L2) nest order.
 TwoLevelSearchResult tune_two_level_exhaustive(std::span<const TraceRecord> trace,
                                                const EnergyModel& model,
                                                TimingParams timing = {});

@@ -1,43 +1,36 @@
 #include "core/report.hpp"
 
 #include <ostream>
-#include <string>
 
-#include "core/evaluator.hpp"
 #include "core/heuristic.hpp"
-#include "util/error.hpp"
 #include "util/table.hpp"
 
 namespace stcache {
 
-void print_exhaustive_report(std::ostream& out, bool instruction,
-                             std::uint64_t accesses,
-                             std::span<const CacheConfig> configs,
-                             std::span<const CacheStats> measured,
-                             const EnergyModel& model) {
-  STC_ASSERT(configs.size() == measured.size(),
-             "report: configs/measured size mismatch");
+std::vector<std::string> verdict_row(const std::string& search,
+                                     const std::string& config,
+                                     unsigned examined, double energy,
+                                     double base_energy) {
+  return {search, config, std::to_string(examined), fmt_si_energy(energy),
+          fmt_percent(1.0 - energy / base_energy, 1)};
+}
+
+void print_verdict(std::ostream& out, bool instruction, std::uint64_t accesses,
+                   Evaluator& eval, bool exhaustive) {
   out << "Tuning the " << (instruction ? "instruction" : "data")
       << " cache on " << accesses << " accesses...\n\n";
 
-  // Both searches only ever visit registry configurations, all of which
-  // are primed, so the empty packed span is never replayed.
-  TraceEvaluator eval(std::span<const std::uint32_t>{}, model);
-  prime_all(eval, configs, measured);
   const SearchResult heur = tune(eval);
   const double base = eval.energy(base_cache());
-
   Table table({"search", "configuration", "configs examined", "energy",
                "savings vs 8K_4W_32B"});
-  table.add_row({"heuristic", heur.best.name(),
-                 std::to_string(heur.configs_examined),
-                 fmt_si_energy(heur.best_energy),
-                 fmt_percent(1.0 - heur.best_energy / base, 1)});
-  const SearchResult ex = tune_exhaustive(eval);
-  table.add_row({"exhaustive", ex.best.name(),
-                 std::to_string(ex.configs_examined),
-                 fmt_si_energy(ex.best_energy),
-                 fmt_percent(1.0 - ex.best_energy / base, 1)});
+  table.add_row(verdict_row("heuristic", heur.best.name(),
+                            heur.configs_examined, heur.best_energy, base));
+  if (exhaustive) {
+    const SearchResult ex = tune_exhaustive(eval);
+    table.add_row(verdict_row("exhaustive", ex.best.name(),
+                              ex.configs_examined, ex.best_energy, base));
+  }
   table.print(out);
 
   out << "\nVisited: ";
@@ -45,6 +38,18 @@ void print_exhaustive_report(std::ostream& out, bool instruction,
     out << (v ? " -> " : "") << heur.visited[v].name();
   }
   out << "\n";
+}
+
+void print_exhaustive_report(std::ostream& out, bool instruction,
+                             std::uint64_t accesses,
+                             std::span<const CacheConfig> configs,
+                             std::span<const CacheStats> measured,
+                             const EnergyModel& model) {
+  // Both searches only ever visit registry configurations, all of which
+  // are primed, so the empty packed span is never replayed.
+  TraceEvaluator eval(std::span<const std::uint32_t>{}, model);
+  eval.prime_from(configs, measured);
+  print_verdict(out, instruction, accesses, eval, /*exhaustive=*/true);
 }
 
 }  // namespace stcache

@@ -192,78 +192,10 @@ TunerFsmd::Result TunerFsmd::run(TunerPort& port) {
     return e;
   };
 
-  // PSM start state: the initial 2 KB direct-mapped 16 B configuration.
-  CacheConfig current{CacheSizeKB::k2, Assoc::w1, LineBytes::b16, false};
-  U32 lowest = evaluate(current);
-
-  // PSM states P1..P4 walk size, line, associativity, prediction; the VSM
-  // inside each state walks values upward while energy keeps dropping.
-  for (Param p : kPaperOrder) {
-    switch (p) {
-      case Param::kSize:
-        for (CacheSizeKB s : kCacheSizes) {
-          if (static_cast<unsigned>(s) <= static_cast<unsigned>(current.size_kb)) {
-            continue;
-          }
-          CacheConfig cand = current;
-          cand.size_kb = s;
-          const U32 e = evaluate(cand);
-          if (e < lowest) {
-            current = cand;
-            lowest = e;
-          } else {
-            break;
-          }
-        }
-        break;
-      case Param::kLine:
-        for (LineBytes l : kLineSizes) {
-          if (static_cast<unsigned>(l) <= static_cast<unsigned>(current.line)) {
-            continue;
-          }
-          CacheConfig cand = current;
-          cand.line = l;
-          const U32 e = evaluate(cand);
-          if (e < lowest) {
-            current = cand;
-            lowest = e;
-          } else {
-            break;
-          }
-        }
-        break;
-      case Param::kAssoc:
-        for (Assoc a : kAssocs) {
-          if (static_cast<unsigned>(a) <= static_cast<unsigned>(current.assoc)) {
-            continue;
-          }
-          CacheConfig cand = current;
-          cand.assoc = a;
-          if (!cand.valid()) break;
-          const U32 e = evaluate(cand);
-          if (e < lowest) {
-            current = cand;
-            lowest = e;
-          } else {
-            break;
-          }
-        }
-        break;
-      case Param::kPred:
-        if (current.assoc != Assoc::w1) {
-          CacheConfig cand = current;
-          cand.way_prediction = true;
-          const U32 e = evaluate(cand);
-          if (e < lowest) {
-            current = cand;
-            lowest = e;
-          }
-        }
-        break;
-    }
-  }
-
-  r.best = current;
+  // PSM states P1..P4 walk size, line, associativity, prediction from the
+  // initial 2 KB direct-mapped 16 B configuration; the VSM inside each state
+  // walks values upward while energy keeps dropping.
+  r.best = greedy_walk(platform_space(), evaluate).best;
   r.tuner_energy =
       static_cast<double>(r.tuner_cycles) * model_->params().tuner_power *
       model_->params().cycle_seconds();

@@ -127,7 +127,7 @@ void PhaseAdaptiveTuner::decide() {
 void PhaseAdaptiveTuner::close_sweep() {
   const std::vector<CacheStats> stats = bank_->stats();
   TraceEvaluator eval(std::span<const std::uint32_t>{}, *model_);
-  prime_all(eval, configs_, stats);
+  eval.prime_from(configs_, stats);
   const SearchResult r = tune(eval);
   current_.config = r.best;
   current_.configs_examined = r.configs_examined;

@@ -4,6 +4,7 @@
 
 #include "core/evaluator.hpp"
 #include "core/heuristic.hpp"
+#include "core/scaled_space.hpp"
 #include "trace/replay.hpp"
 #include "trace/synthetic.hpp"
 #include "util/rng.hpp"
@@ -75,6 +76,37 @@ TEST(TraceEvaluator, RecordsAndPackedConstructorsAgree) {
     }
     EXPECT_EQ(from_records.evaluations(), 27u);
   }
+}
+
+// A stats() reference must keep reading the right counts while the memo
+// grows (a memo that relocates its entries would leave it dangling).
+template <class Desc>
+void expect_stats_reference_stable(MemoEvaluator<Desc>& eval,
+                                   const std::vector<Desc>& points,
+                                   std::uint64_t accesses) {
+  ASSERT_GE(points.size(), 21u);
+  const CacheStats& held = eval.stats(points.front());
+  const CacheStats copy = held;
+  for (const Desc& d : points) eval.energy(d);
+  EXPECT_EQ(eval.evaluations(), points.size());
+  EXPECT_EQ(&held, &eval.stats(points.front()));
+  EXPECT_EQ(held, copy);
+  EXPECT_EQ(held.accesses, accesses);
+}
+
+TEST(TraceEvaluator, StatsReferencesSurviveMemoGrowth) {
+  const Trace t = small_stream();
+  EnergyModel model;
+  TraceEvaluator eval(t, model);
+  expect_stats_reference_stable(eval, all_configs(), t.size());
+}
+
+TEST(ScaledEvaluator, StatsReferencesSurviveMemoGrowth) {
+  const Trace t = small_stream();
+  EnergyModel model;
+  ScaledEvaluator eval(t, model);
+  expect_stats_reference_stable(eval, ScaledSpace::embedded_32k().configs(),
+                                t.size());
 }
 
 TEST(AscendingCandidates, SizeWalksUpward) {

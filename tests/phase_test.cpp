@@ -226,7 +226,7 @@ TEST(PhaseAdaptiveTuner, TimelineEquivalenceAcrossEnginesAndJobs) {
       ref.push_back(reference_stats(cfg, words));
     }
     TraceEvaluator eval(std::span<const std::uint32_t>{}, test_model());
-    prime_all(eval, configs, ref);
+    eval.prime_from(configs, ref);
     const SearchResult verdict = tune(eval);
     EXPECT_EQ(r.config, verdict.best) << "phase at " << r.begin;
     EXPECT_EQ(r.configs_examined, verdict.configs_examined)

@@ -40,6 +40,7 @@ TEST(ScaledSpace, ValidityFiltersDegenerateGeometries) {
 
 TEST(ScaledSpace, GeometryNames) {
   EXPECT_EQ(geometry_name(CacheGeometry{32768, 4, 64}), "32K_4W_64B");
+  EXPECT_EQ(geometry_name(CacheGeometry{512, 1, 16}), "512B_1W_16B");
 }
 
 // configs() is precomputed at construction, deterministic, and preserves
@@ -82,7 +83,7 @@ TEST(ScaledSpace, PrimeMatchesOnDemandEnergies) {
   const ScaledSpace space = ScaledSpace::embedded_32k();
 
   ScaledEvaluator primed(t, model);
-  primed.prime(space);
+  primed.prime(space.configs());
   EXPECT_EQ(primed.evaluations(), space.total_configs());
 
   ScaledEvaluator on_demand(t, model);
@@ -90,7 +91,7 @@ TEST(ScaledSpace, PrimeMatchesOnDemandEnergies) {
     EXPECT_EQ(primed.energy(g), on_demand.energy(g)) << geometry_name(g);
   }
   // prime() on an already-primed evaluator is a no-op, not a re-measure.
-  primed.prime(space);
+  primed.prime(space.configs());
   EXPECT_EQ(primed.evaluations(), space.total_configs());
 }
 
@@ -110,6 +111,38 @@ TEST(ScaledSpace, RecordsAndPackedEvaluatorsAgree) {
     }
     EXPECT_EQ(from_records.evaluations(), space.total_configs());
   }
+}
+
+// Geometries under 1 KB are distinct memo entries: a name-keyed memo once
+// printed them all as "0K_..." and served the first one's energy for all.
+TEST(ScaledTune, SubKilobyteGeometriesAreMemoizedSeparately) {
+  Trace t;  // a 400-byte working set, read in a loop
+  for (int rep = 0; rep < 200; ++rep)
+    for (std::uint32_t a = 0; a < 400; a += 4)
+      t.push_back({a, AccessKind::kRead});
+  EnergyModel model;
+  const ScaledSpace space{{256, 512, 1024}, {1}, {16}};
+  const std::vector<CacheGeometry>& geoms = space.configs();
+  ASSERT_EQ(geoms.size(), 3u);
+  std::vector<double> truth;  // one fresh evaluator per geometry
+  for (const CacheGeometry& g : geoms)
+    truth.push_back(ScaledEvaluator(t, model).energy(g));
+  ASSERT_LT(truth[1], truth[0]);  // 512 B holds the working set
+  ASSERT_LT(truth[1], truth[2]);
+
+  ScaledEvaluator eval(t, model);
+  EXPECT_EQ(eval.energy(geoms[0]), truth[0]);
+  EXPECT_EQ(eval.energy(geoms[1]), truth[1]);
+  EXPECT_EQ(eval.evaluations(), 2u);
+
+  ScaledEvaluator heur_eval(t, model);
+  const ScaledSearchResult heur = tune_scaled(heur_eval, space);
+  EXPECT_EQ(heur.best, geoms[1]);
+  EXPECT_EQ(heur.best_energy, truth[1]);
+  ScaledEvaluator ex_eval(t, model);
+  const ScaledSearchResult ex = tune_scaled_exhaustive(ex_eval, space);
+  EXPECT_EQ(ex.best, geoms[1]);
+  EXPECT_EQ(ex.best_energy, truth[1]);
 }
 
 TEST(ScaledTune, ExaminesFarFewerThanExhaustive) {

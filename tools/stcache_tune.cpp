@@ -118,14 +118,10 @@ void print_scaled_report(std::ostream& os, const std::string& space_name,
   os << "\n";
   Table verdict({"search", "configuration", "configs examined", "energy",
                  "savings vs " + geometry_name(geoms.front())});
-  verdict.add_row({"heuristic", geometry_name(heur.best),
-                   std::to_string(heur.configs_examined),
-                   fmt_si_energy(heur.best_energy),
-                   fmt_percent(1.0 - heur.best_energy / base, 1)});
-  verdict.add_row({"exhaustive", geometry_name(ex.best),
-                   std::to_string(ex.configs_examined),
-                   fmt_si_energy(ex.best_energy),
-                   fmt_percent(1.0 - ex.best_energy / base, 1)});
+  verdict.add_row(verdict_row("heuristic", geometry_name(heur.best),
+                              heur.configs_examined, heur.best_energy, base));
+  verdict.add_row(verdict_row("exhaustive", geometry_name(ex.best),
+                              ex.configs_examined, ex.best_energy, base));
   verdict.print(os);
   os << "\nHeuristic vs optimum: "
      << (heur.best == ex.best
@@ -328,26 +324,8 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  std::cout << "Tuning the " << (instruction ? "instruction" : "data")
-            << " cache on " << sel_count << " accesses...\n\n";
-
   TraceEvaluator eval(std::span<const std::uint32_t>(sel), model);
-  const SearchResult heur = tune(eval);
-  const double base = eval.energy(base_cache());
-
-  Table table({"search", "configuration", "configs examined", "energy",
-               "savings vs 8K_4W_32B"});
-  table.add_row({"heuristic", heur.best.name(),
-                 std::to_string(heur.configs_examined),
-                 fmt_si_energy(heur.best_energy),
-                 fmt_percent(1.0 - heur.best_energy / base, 1)});
-  table.print(std::cout);
-
-  std::cout << "\nVisited: ";
-  for (std::size_t v = 0; v < heur.visited.size(); ++v) {
-    std::cout << (v ? " -> " : "") << heur.visited[v].name();
-  }
-  std::cout << "\n";
+  print_verdict(std::cout, instruction, sel_count, eval, /*exhaustive=*/false);
   return 0;
 }
 
