@@ -31,11 +31,14 @@
 // metric (>= 1.3x when an AVX2 kernel is compiled in and the CPU has it;
 // gated by scripts/bench_check.py).
 //
-// Parallel section: the exhaustive oneshot sweep with the set-partitioned
-// parallel sweep (--sweep-jobs) at jobs = min(cpus, 32) against serial,
-// reporting the aggregate simulated records/second. bench_check.py arms
-// the aggregate floor only when the snapshot reports cpus >= 2 — one core
-// cannot outrun itself, and the merge is bit-identical either way.
+// Parallel section: the exhaustive 27-config bank with its line-size
+// groups on threads (--sweep-jobs) against serial, reporting the aggregate
+// simulated records/second. The bank is asked for min(cpus, 32) threads
+// and runs at most one per group, three here; `jobs` records the count it
+// actually ran, and the speedup is limited by the largest group's share of
+// the serial work. bench_check.py arms the aggregate floor only when the
+// snapshot reports cpus >= 2 — one core cannot outrun itself, and each
+// group's result is its serial result either way.
 //
 // Capture section: each workload is captured end to end by the reference
 // interpreter (Cpu + TracingMemory, the stcache_trace path) and by the
@@ -228,12 +231,12 @@ double time_sweep_kernels(const std::vector<std::vector<CacheConfig>>& groups,
   return best;
 }
 
-// --- parallel set-partitioned sweep ------------------------------------------
+// --- parallel group-threaded sweep -------------------------------------------
 
-// Exhaustive oneshot bank feed+stats with an explicit shard count; the
-// bank (sims, scratch partitions) is constructed outside the timed region,
-// the lazily-spawned worker pool is inside it (a real cost of the first
-// feed, amortized in production by streaming many chunks).
+// Exhaustive oneshot bank feed+stats with an explicit thread count; the
+// bank (its sims) is constructed outside the timed region, the
+// lazily-spawned worker pool is inside it (a real cost of the first feed,
+// amortized in production by streaming many chunks).
 double time_parallel_bank(const std::vector<CacheConfig>& configs,
                           std::span<const std::uint32_t> packed, unsigned jobs,
                           unsigned reps) {
@@ -466,9 +469,10 @@ int run(int argc, char** argv) {
             << (simd_avail ? "" : " (AVX2 unavailable; both rows scalar)")
             << "\n";
 
-  // --- parallel: set-partitioned exhaustive sweep ---------------------------
+  // --- parallel: group-threaded exhaustive sweep ----------------------------
   const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned par_jobs = std::min(cpus, 32u);
+  const unsigned par_jobs =
+      BankAccumulator(all_configs(), {}, std::min(cpus, 32u)).sweep_jobs();
   Table par_table({"workload", "records", "serial rec/s", "parallel rec/s",
                    "speedup"});
   std::string par_json;
@@ -574,7 +578,6 @@ int run(int argc, char** argv) {
           "}\n  },\n";
   json += "  \"parallel\": {\n    \"cpus\": " + std::to_string(cpus) +
           ",\n    \"jobs\": " + std::to_string(par_jobs) +
-          ",\n    \"partitions\": " + std::to_string(sweep_partitions()) +
           ",\n    \"workloads\": [\n" + par_json + "\n    ],\n    \"overall\": {" +
           "\"serial_records_per_second\": " +
           fmt(par_recs_d / par_serial_total) +

@@ -14,10 +14,9 @@
 // exhaustive baseline is measured as one bank pass per stream
 // (tune_scaled_exhaustive -> ScaledEvaluator::prime), which covers each
 // line-size family with a single generalized nested stack-distance
-// traversal (NestedSweepSim); --sweep-jobs shards each traversal by set
-// partition (the bank reports [sweep] shard imbalance on stderr, exactly
-// as the platform sweep does). Accuracy tables are byte-identical across
-// shard counts.
+// traversal (NestedSweepSim); --sweep-jobs runs the four families on up
+// to four threads, exactly as the platform bank runs its three. Accuracy
+// tables are byte-identical across --sweep-jobs values.
 //
 // Throughput section: for each workload and stream, the full 64-config
 // embedded_32k sweep timed under (a) the generalized oneshot bank — one

@@ -109,9 +109,10 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
     if (arg == "--jobs" && i + 1 < argc) {
       opts.sweep.jobs = value(i, 0, 4096);
     } else if (arg == "--sweep-jobs" && i + 1 < argc) {
-      // Intra-bank shard count for the sweep (set-partitioned, exact
-      // merge — stdout stays byte-identical). Composes with the
-      // workload-level --jobs pool: total threads ~= jobs * sweep-jobs.
+      // Intra-bank threads, at most one per line-size group (each group's
+      // result is its serial result — stdout stays byte-identical).
+      // Composes with the workload-level --jobs pool: total threads ~=
+      // jobs * sweep-jobs.
       opts.sweep_jobs = value(i, 1, 32);
     } else if (arg == "--metrics-out" && i + 1 < argc) {
       opts.metrics_out = argv[++i];

@@ -3,30 +3,31 @@
 # table/figure harness. Outputs land in test_output.txt and bench_output.txt
 # at the repository root (the files EXPERIMENTS.md numbers come from).
 #
-#   ./repro.sh           full pipeline (build, all tests, TSan sweep+shard
-#                        +stream+serving+chaos+phase tests, ASan/UBSan fault
-#                        +trace+mmap+interpreter+crc32+serving+wire+chaos
-#                        +phase+search tests, the
-#                        throughput/capture/end-to-end/simd/parallel/serving/
-#                        resilience/scaled-sweep/phase gates, the
-#                        sharded-sweep, trace-file, scaled-space, serving and
+#   ./repro.sh           full pipeline (build, all tests, TSan sweep+bank
+#                        threading+stream+serving+chaos+phase tests,
+#                        ASan/UBSan fault+trace+mmap+bank threading
+#                        +interpreter+crc32+serving+wire+chaos+phase+search
+#                        tests, the throughput/capture/end-to-end/simd/
+#                        parallel/serving/resilience/scaled-sweep/phase
+#                        gates, the --sweep-jobs, trace-file, scaled-space,
+#                        serving (serial and threaded daemon) and
 #                        phase-timeline determinism gates, every bench
 #                        binary)
 #   ./repro.sh --quick   build + the parallel-sweep, streaming and serving
 #                        tests (native, TSan, one chaos campaign) + the
 #                        fault-injection, trace-format, mmap-reader,
-#                        replay-equivalence, stack-sweep, sharded-sweep,
+#                        replay-equivalence, stack-sweep, bank-threading,
 #                        fast-interpreter differential, stream, CRC-32,
 #                        serving, wire and chaos tests (native and
 #                        ASan/UBSan) + the search-layer tests (heuristic,
 #                        exhaustive, evaluators, scaled and two-level spaces,
 #                        tuner FSMD and stepper; native and ASan/UBSan)
-#                        + --jobs/--sweep-jobs/partition-count
-#                        determinism checks on bench_fig3 and stcache_tune,
-#                        the trace-file vs workload-mode cmp, the --space
-#                        and --phases cmps across shard counts, + the
-#                        daemon-vs-in-process serving cmp; minutes, not the
-#                        full regeneration
+#                        + --jobs/--sweep-jobs determinism checks on
+#                        bench_fig3 and stcache_tune, the trace-file vs
+#                        workload-mode cmp, the --space and --phases cmps
+#                        across --sweep-jobs values, + the daemon-vs-
+#                        in-process serving cmp (serial and threaded
+#                        daemon); minutes, not the full regeneration
 # See docs/experiments.md for what each bench binary reproduces.
 set -e
 cd "$(dirname "$0")"
@@ -51,10 +52,11 @@ cmake -B build-tsan -S . -DSTCACHE_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j "$(nproc)" --target thread_pool_test sweep_runner_test sharded_sweep_test stream_test shard_queue_test serving_test serving_resilience_test phase_test
 ./build-tsan/tests/thread_pool_test
 ./build-tsan/tests/sweep_runner_test
-# The set-partitioned parallel sweep scatters into per-partition buffers on
-# the feed thread while shard workers replay them; the exactness tests
-# re-run under TSan so a missed synchronization point in the pool handoff
-# cannot hide behind a deterministic-by-luck merge.
+# A threaded bank hands each feed's line-size groups to pool workers that
+# read the caller's chunk and write their own group's sim, group by group
+# across feeds; the exactness tests re-run under TSan so a missed
+# synchronization point in the pool handoff cannot hide behind results
+# that are deterministic by luck.
 ./build-tsan/tests/sharded_sweep_test
 ./build-tsan/tests/stream_test
 ./build-tsan/tests/shard_queue_test
@@ -66,9 +68,10 @@ cmake --build build-tsan -j "$(nproc)" --target thread_pool_test sweep_runner_te
 RESILIENCE_FILTER=
 [ "$QUICK" = "1" ] && RESILIENCE_FILTER='--gtest_filter=ServingResilience.CorruptFrameCampaign:ServingResilience.GracefulDrainFinishesInFlightAndRefusesNew'
 ./build-tsan/tests/serving_resilience_test $RESILIENCE_FILTER
-# The phase-adaptive tuner drives set-partitioned bank sweeps from inside
-# a streaming classifier; its reference/shard equivalence tests re-run under
-# TSan so the sweep handoff stays clean when the tuner owns the threads.
+# The phase-adaptive tuner drives threaded bank sweeps from inside a
+# streaming classifier; its reference/--sweep-jobs equivalence tests re-run
+# under TSan so the sweep handoff stays clean when the tuner owns the
+# threads.
 ./build-tsan/tests/phase_test
 
 # The fault-injection, trace-format, replay-equivalence and stack-sweep
@@ -81,9 +84,11 @@ RESILIENCE_FILTER=
 # kind of code where an off-by-one scribbles out of bounds silently.
 # shard_queue_test and serving_test run here too: the wire codec's
 # length-prefixed frame parsing and the chunk pool's recycled buffers are
-# classic overrun territory.
+# classic overrun territory. sharded_sweep_test joins them: it drives
+# NestedSweepSim's per-group stats path, which settles open dirty epochs
+# into a copy of the write-back counters by level and way offsets.
 cmake -B build-asan -S . -DSTCACHE_SANITIZE=address,undefined > /dev/null
-cmake --build build-asan -j "$(nproc)" --target fault_test trace_io_test mmap_trace_test replay_equivalence_test stack_sweep_test fast_cpu_test stream_test crc32_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test heuristic_test evaluator_test scaled_space_test multilevel_test tuner_fsmd_test tuner_stepper_test search_test
+cmake --build build-asan -j "$(nproc)" --target fault_test trace_io_test mmap_trace_test replay_equivalence_test stack_sweep_test sharded_sweep_test fast_cpu_test stream_test crc32_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test heuristic_test evaluator_test scaled_space_test multilevel_test tuner_fsmd_test tuner_stepper_test search_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/trace_io_test
 # The out-of-core reader does raw pointer arithmetic over an mmap'd file
@@ -99,6 +104,7 @@ else
 fi
 ./build-asan/tests/replay_equivalence_test
 ./build-asan/tests/stack_sweep_test
+./build-asan/tests/sharded_sweep_test
 ./build-asan/tests/fast_cpu_test
 ./build-asan/tests/stream_test
 # The slicing-by-16 CRC-32 indexes sixteen tables from loaded words and
@@ -134,12 +140,12 @@ fi
 # Serving determinism gate helpers: a loopback stcache_tuned daemon must
 # render verdicts byte-identical to the in-process `stcache_tune
 # --exhaustive` on the same stream (same bank, same renderer, a socket in
-# between). The daemon is started once per batch and shut down via
-# SIGTERM, which must itself exit 0.
+# between). The daemon is started once per batch, with any extra flags
+# given, and shut down via SIGTERM, which must itself exit 0.
 start_serving_daemon() {
     STC_SRVDIR=$(mktemp -d /tmp/stcreproXXXXXX)
     STC_SOCK="$STC_SRVDIR/repro.sock"
-    ./build/tools/stcache_tuned --socket "$STC_SOCK" > "$STC_SRVDIR/log" 2>&1 &
+    ./build/tools/stcache_tuned --socket "$STC_SOCK" "$@" > "$STC_SRVDIR/log" 2>&1 &
     STC_SRVPID=$!
     i=0
     until grep -q '^listening on ' "$STC_SRVDIR/log" 2>/dev/null; do
@@ -174,19 +180,15 @@ if [ "$QUICK" = "1" ]; then
     # Baseline for the tune gates below: the serial workload-mode
     # exhaustive tune (capture streamed into the bank).
     ./build/tools/stcache_tune --workload crc --exhaustive > /tmp/stcache_tune_stream.txt
-    # Sharded-sweep gate: the set-partitioned parallel sweep must reproduce
-    # the serial exhaustive tune byte for byte, at several shard counts and
-    # at a reduced partition count (STCACHE_SWEEP_PARTITIONS is resolved
-    # once per process, so the variation needs fresh processes — exactly
-    # what the unit suite cannot do).
+    # --sweep-jobs gate: the threaded bank must reproduce the serial
+    # exhaustive tune byte for byte; 2 threads share three line-size
+    # groups, 4 and 7 clamp to one thread per group.
     for sj in 2 4 7; do
         ./build/tools/stcache_tune --workload crc --exhaustive --sweep-jobs "$sj" > /tmp/stcache_tune_sj.txt
         cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_sj.txt
     done
-    STCACHE_SWEEP_PARTITIONS=8 ./build/tools/stcache_tune --workload crc --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_sj.txt
-    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_sj.txt
     # Trace-file gate: the out-of-core file reader (mmap, its forced pread
-    # fallback, and sharded) must reproduce the workload-mode run of the
+    # fallback, and threaded) must reproduce the workload-mode run of the
     # same stream byte for byte.
     ./build/tools/stcache_trace capture crc /tmp/stcache_repro.stct
     ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive > /tmp/stcache_tune_mm.txt
@@ -197,18 +199,22 @@ if [ "$QUICK" = "1" ]; then
     cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_mm.txt
     rm -f /tmp/stcache_repro.stct
     # Scaled-space gate: the generalized sweep's --space report must be
-    # byte-identical across shard counts.
+    # byte-identical across --sweep-jobs values.
     ./build/tools/stcache_tune --workload crc I --space embedded > /tmp/stcache_tune_space.txt
     ./build/tools/stcache_tune --workload crc I --space embedded --sweep-jobs 4 > /tmp/stcache_tune_space_v.txt
     cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_space_v.txt
     # Phase-timeline gate: the per-phase tuning timeline (verdicts,
-    # configs, distances) must be byte-identical across shard counts on a
-    # phase-mixed scenario.
+    # configs, distances) must be byte-identical across --sweep-jobs values
+    # on a phase-mixed scenario.
     ./build/tools/stcache_tune --phases squarewave > /tmp/stcache_tune_phase.txt
     ./build/tools/stcache_tune --phases squarewave --sweep-jobs 4 > /tmp/stcache_tune_phase_v.txt
     cmp /tmp/stcache_tune_phase.txt /tmp/stcache_tune_phase_v.txt
-    # Serving gate: a daemon round trip must be byte-identical too.
+    # Serving gate: a daemon round trip must be byte-identical too, with
+    # each session's bank serial and on three threads.
     start_serving_daemon
+    serve_cmp crc I
+    stop_serving_daemon
+    start_serving_daemon --sweep-jobs 3
     serve_cmp crc I
     stop_serving_daemon
     echo "Quick pass done: sweep/equivalence/interpreter/serving tests (native + sanitizers), --jobs, --sweep-jobs, trace-file, --space, --phases and daemon determinism ok."
@@ -217,11 +223,10 @@ fi
 
 ctest --test-dir build 2>&1 | tee test_output.txt
 
-# Sharded-sweep and trace-file determinism gates: shard counts, reduced
-# partition counts (fresh process each — the count is resolved once per
-# process), the out-of-core file reader, its forced pread fallback, and the
-# file reader sharded must all reproduce the serial workload-mode output
-# byte for byte.
+# --sweep-jobs and trace-file determinism gates: thread counts (7 clamps
+# to the three line-size groups), the out-of-core file reader, its forced
+# pread fallback, and the file reader threaded must all reproduce the
+# serial workload-mode output byte for byte.
 for wl in crc ucbqsort; do
   for streamsel in I D; do
     ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive > /tmp/stcache_tune_serial.txt
@@ -229,8 +234,6 @@ for wl in crc ucbqsort; do
       ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive --sweep-jobs "$sj" > /tmp/stcache_tune_sj.txt
       cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_sj.txt
     done
-    STCACHE_SWEEP_PARTITIONS=8 ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_sj.txt
-    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_sj.txt
     ./build/tools/stcache_trace capture "$wl" /tmp/stcache_repro.stct
     ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive > /tmp/stcache_tune_mm.txt
     cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_mm.txt
@@ -241,11 +244,11 @@ for wl in crc ucbqsort; do
     rm -f /tmp/stcache_repro.stct
   done
 done
-echo "[repro] sharded-sweep and trace-file tune determinism ok"
+echo "[repro] --sweep-jobs and trace-file tune determinism ok"
 
 # Scaled-space tune determinism gate: the --space report (generalized
 # sweep over 64 generic geometries, integer counts per config) must be
-# byte-identical across shard counts, each in a fresh process.
+# byte-identical across --sweep-jobs values, each in a fresh process.
 for wl in crc ucbqsort; do
   for streamsel in I D; do
     ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space embedded > /tmp/stcache_tune_space.txt
@@ -253,12 +256,15 @@ for wl in crc ucbqsort; do
       ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space embedded --sweep-jobs "$sj" > /tmp/stcache_tune_space_v.txt
       cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_space_v.txt
     done
+    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space desktop > /tmp/stcache_tune_space.txt
+    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space desktop --sweep-jobs 4 > /tmp/stcache_tune_space_v.txt
+    cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_space_v.txt
   done
 done
 echo "[repro] scaled-space tune determinism ok"
 
 # Phase-timeline determinism gate: the phase-adaptive tuner's per-phase
-# timeline must be byte-identical across shard counts on every named
+# timeline must be byte-identical across --sweep-jobs values on every named
 # scenario, each in a fresh process (the classifier samples on global
 # stream offsets and bank stats are bit-identical, so any divergence is a
 # real bug, not jitter).
@@ -273,14 +279,17 @@ echo "[repro] phase-timeline determinism ok"
 
 # Serving determinism gate: the daemon's verdict over the wire must be
 # byte-identical to the in-process exhaustive tuner for both cache streams
-# of two representative workloads.
-start_serving_daemon
-for wl in crc ucbqsort; do
-  for streamsel in I D; do
-    serve_cmp "$wl" "$streamsel"
+# of two representative workloads, with each session's bank serial and on
+# three threads.
+for daemon_flags in "" "--sweep-jobs 3"; do
+  start_serving_daemon $daemon_flags
+  for wl in crc ucbqsort; do
+    for streamsel in I D; do
+      serve_cmp "$wl" "$streamsel"
+    done
   done
+  stop_serving_daemon
 done
-stop_serving_daemon
 echo "[repro] daemon-vs-in-process serving determinism ok"
 
 # Throughput gates: a fresh bench_replay_throughput run must stay within

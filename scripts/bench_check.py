@@ -25,7 +25,7 @@ snapshots. Three checks run:
    reports simd.available (the kernel was compiled in and the CPU has
    AVX2); on hosts without it the check prints an explicit skip — both
    timed rows would be the scalar kernel and the ratio meaningless.
-5. Parallel floor: the set-partitioned parallel exhaustive sweep must
+5. Parallel floor: the group-threaded parallel exhaustive sweep must
    sustain at least --parallel-min (default 5e9, STCACHE_PARALLEL_MIN)
    aggregate simulated records/second in the FRESH run. One core cannot
    outrun itself, so (like the serving scaling floor) this is enforced

@@ -326,19 +326,9 @@ void NestedSweepSim::slow(const std::uint32_t line, const std::uint32_t g,
   last_idx_[g] = static_cast<std::uint16_t>(x);
 }
 
-void NestedSweepSim::add_totals(Totals& t) const {
-  if (t.hist.empty() && t.wb.empty()) {
-    t.hist.resize(hist_.size());
-    t.wb.resize(wb_.size());
-  } else if (t.hist.size() != hist_.size() || t.wb.size() != wb_.size()) {
-    fail("NestedSweepSim: merging totals of a different family");
-  }
-  t.n += n_;
-  t.writes += writes_;
-  t.repeat_hits += repeat_hits_;
-  for (std::size_t i = 0; i < hist_.size(); ++i) t.hist[i] += hist_[i];
-  for (std::size_t i = 0; i < wb_.size(); ++i) t.wb[i] += wb_[i];
-
+std::vector<CacheStats> NestedSweepSim::stats(
+    std::span<const CacheGeometry> geoms) const {
+  std::vector<std::uint64_t> wb = wb_;
   // Still-open dirty bits whose (level, w) eviction already happened but
   // whose line was never touched again: CacheModel counted those
   // write-backs at eviction time. A bit w-1 belongs to an ended epoch iff
@@ -365,12 +355,33 @@ void NestedSweepSim::add_totals(Totals& t) const {
         }
         std::uint64_t ended = d[l] & ((1ull << depth) - 1);
         while (ended != 0) {
-          ++t.wb[lev.wb_off + std::countr_zero(ended)];
+          ++wb[lev.wb_off + std::countr_zero(ended)];
           ended &= ended - 1;
         }
       }
     }
   }
+
+  const std::uint32_t stall = timing_.miss_stall_cycles(line_bytes_);
+  std::vector<CacheStats> out;
+  out.reserve(geoms.size());
+  for (const CacheGeometry& g : geoms) {
+    const Level& lev = level_of(g);
+    std::uint64_t hits = repeat_hits_;
+    for (std::uint32_t d = 0; d < g.assoc; ++d) hits += hist_[lev.hist_off + d];
+    CacheStats s;
+    s.accesses = n_;
+    s.write_accesses = writes_;
+    s.read_accesses = n_ - writes_;
+    s.hits = hits;
+    s.misses = n_ - hits;
+    s.fill_bytes = s.misses * line_bytes_;
+    s.writeback_bytes = wb[lev.wb_off + g.assoc - 1] * line_bytes_;
+    s.stall_cycles = s.misses * stall;
+    s.cycles = n_ * timing_.hit_cycles + s.stall_cycles;
+    out.push_back(s);
+  }
+  return out;
 }
 
 const NestedSweepSim::Level& NestedSweepSim::level_of(
@@ -388,30 +399,8 @@ const NestedSweepSim::Level& NestedSweepSim::level_of(
        "B is outside this traversal's family");
 }
 
-CacheStats NestedSweepSim::stats_from(const Totals& t,
-                                      const CacheGeometry& g) const {
-  const Level& lev = level_of(g);
-  CacheStats s;
-  if (t.n == 0) return s;
-  std::uint64_t hits = t.repeat_hits;
-  for (std::uint32_t d = 0; d < g.assoc; ++d) hits += t.hist[lev.hist_off + d];
-  s.accesses = t.n;
-  s.write_accesses = t.writes;
-  s.read_accesses = t.n - t.writes;
-  s.hits = hits;
-  s.misses = t.n - hits;
-  s.fill_bytes = s.misses * line_bytes_;
-  s.writeback_bytes = t.wb[lev.wb_off + g.assoc - 1] * line_bytes_;
-  const std::uint32_t stall = timing_.miss_stall_cycles(line_bytes_);
-  s.stall_cycles = s.misses * stall;
-  s.cycles = t.n * timing_.hit_cycles + s.stall_cycles;
-  return s;
-}
-
 CacheStats NestedSweepSim::stats(const CacheGeometry& g) const {
-  Totals t;
-  add_totals(t);
-  return stats_from(t, g);
+  return stats(std::span<const CacheGeometry>(&g, 1)).front();
 }
 
 }  // namespace stcache

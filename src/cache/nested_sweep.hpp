@@ -51,9 +51,7 @@
 // The produced CacheStats is bit-identical to CacheModel replay of the
 // same stream for every family member — tests/replay_equivalence_test.cpp
 // and tests/stack_sweep_test.cpp enforce this against the unbounded LRU
-// oracle and the other engines. Totals are plain integers/vectors, so the
-// set-partitioned parallel sweep (trace/replay.hpp) merges shard replicas
-// exactly, same as the platform kernel.
+// oracle and the other engines.
 //
 // What falls OUTSIDE this kernel (the fallback matrix, see
 // docs/performance.md §6): sub-16 B lines (a packed word is a 16 B block,
@@ -108,20 +106,6 @@ class FastGeomSim {
 
 class NestedSweepSim {
  public:
-  // Exact integer accumulators: two sims constructed over the same bank
-  // add their Totals to merge partial sweeps losslessly (the parallel
-  // sweep's shard replicas; see BankAccumulator in trace/replay.hpp).
-  struct Totals {
-    std::uint64_t n = 0;
-    std::uint64_t writes = 0;
-    // Repeat-fast-path hits: depth 0 at every level, folded into each
-    // level's hit count at stats_from() time instead of paying one
-    // histogram increment per level on the hot path.
-    std::uint64_t repeat_hits = 0;
-    std::vector<std::uint64_t> hist;  // depth histograms, level-flattened
-    std::vector<std::uint64_t> wb;    // write-back lines per (level, ways)
-  };
-
   // All geometries must be valid(), share one line size >= 16 B, and stay
   // within the 64-way dirty-mask budget. Throws stcache::Error otherwise.
   explicit NestedSweepSim(std::span<const CacheGeometry> geoms,
@@ -131,20 +115,16 @@ class NestedSweepSim {
   // streaming pipeline can feed chunk by chunk.
   void replay(std::span<const std::uint32_t> packed);
 
-  // Fold this sim's counters into `t` (sized on first use; shapes must
-  // match across sims of the same family). Includes the stats-time
-  // settlement of still-open dirty epochs, computed without mutating the
-  // sim: stats may be taken mid-stream.
-  void add_totals(Totals& t) const;
-
-  // Exact CacheStats for one family member from merged totals —
-  // bit-identical to CacheModel replay of the concatenated stream. `g`
-  // must match the construction line size, one of the level set counts,
-  // and ways <= that level's maximal ways (any such geometry works, even
-  // if it was not in the constructor bank — the histogram covers it).
-  CacheStats stats_from(const Totals& t, const CacheGeometry& g) const;
-
-  // Convenience for single-sim use (tests): totals of this sim alone.
+  // Exact CacheStats for each of `geoms`, in order — bit-identical to
+  // CacheModel replay of everything fed so far. Each geometry must match
+  // the construction line size, one of the level set counts, and ways <=
+  // that level's maximal ways (any such geometry works, even if it was
+  // not in the constructor bank — the histogram covers it). Settling the
+  // still-open dirty epochs scans the pool once per call, quadratic in
+  // segment occupancy, so take a family's stats in one call. A pure read:
+  // feeding may continue after.
+  std::vector<CacheStats> stats(std::span<const CacheGeometry> geoms) const;
+  // One geometry (tests).
   CacheStats stats(const CacheGeometry& g) const;
 
   std::uint32_t num_levels() const { return nlev_; }
@@ -192,7 +172,11 @@ class NestedSweepSim {
   std::vector<std::uint32_t> occ_, newer_, vict_, vmin_;
 
   std::uint32_t tick_ = 0;
-  std::uint64_t n_ = 0, writes_ = 0, repeat_hits_ = 0;
+  std::uint64_t n_ = 0, writes_ = 0;
+  // Repeat-fast-path hits: depth 0 at every level, folded into each
+  // level's hit count at stats() time instead of paying one histogram
+  // increment per level on the hot path.
+  std::uint64_t repeat_hits_ = 0;
   std::vector<std::uint64_t> hist_, wb_;
 };
 

@@ -97,19 +97,7 @@ std::uint32_t StackSweepSim::line_bytes() const { return impl_->line_bytes; }
 
 bool StackSweepSim::simd() const { return impl_->simd; }
 
-void StackSweepSim::add_totals(Totals& into) const {
-  into.n += impl_->n;
-  into.writes += impl_->writes;
-  for (std::uint32_t key = 0; key < 512; ++key) {
-    into.hist[key] += impl_->hist[key];
-  }
-  for (std::uint32_t k = 0; k < kNumSlots; ++k) {
-    into.wb_bytes[k] += impl_->wb_bytes[k];
-  }
-}
-
-CacheStats StackSweepSim::stats_from(const Totals& totals,
-                                     const CacheConfig& cfg) const {
+CacheStats StackSweepSim::stats(const CacheConfig& cfg) const {
   if (cfg.line_bytes() != impl_->line_bytes) {
     fail("StackSweepSim::stats: " + cfg.name() + " has the wrong line size");
   }
@@ -126,37 +114,40 @@ CacheStats StackSweepSim::stats_from(const Totals& totals,
   std::uint64_t hits = 0;
   std::uint64_t first = 0;
   for (std::uint32_t key = 0; key < 512; ++key) {
-    const std::uint64_t c = totals.hist[key];
+    const std::uint64_t c = impl_->hist[key];
     if (c == 0) continue;
     if (key >> k & 1u) hits += c;
     if (pb >= 0 && (key >> (kNumSlots + static_cast<unsigned>(pb)) & 1u))
       first += c;
   }
 
+  const std::uint64_t n = impl_->n;
   CacheStats s;
-  s.accesses = totals.n;
-  s.write_accesses = totals.writes;
-  s.read_accesses = totals.n - totals.writes;
+  s.accesses = n;
+  s.write_accesses = impl_->writes;
+  s.read_accesses = n - impl_->writes;
   s.hits = hits;
-  s.misses = totals.n - hits;
+  s.misses = n - hits;
   s.fill_bytes = s.misses * impl_->line_bytes;
-  s.writeback_bytes = totals.wb_bytes[k];
+  s.writeback_bytes = impl_->wb_bytes[k];
   s.stall_cycles =
       s.misses * impl_->timing.miss_stall_cycles(impl_->line_bytes);
   if (pred) {
-    s.pred_accesses = totals.n;
+    s.pred_accesses = n;
     s.pred_first_hits = first;
     s.pred_mispredicts = hits - first;
     s.stall_cycles += s.pred_mispredicts * impl_->timing.mispredict_penalty;
   }
-  s.cycles = totals.n * impl_->timing.hit_cycles + s.stall_cycles;
+  s.cycles = n * impl_->timing.hit_cycles + s.stall_cycles;
   return s;
 }
 
-CacheStats StackSweepSim::stats(const CacheConfig& cfg) const {
-  Totals t;
-  add_totals(t);
-  return stats_from(t, cfg);
+std::vector<CacheStats> StackSweepSim::stats(
+    std::span<const CacheConfig> configs) const {
+  std::vector<CacheStats> out;
+  out.reserve(configs.size());
+  for (const CacheConfig& cfg : configs) out.push_back(stats(cfg));
+  return out;
 }
 
 }  // namespace stcache

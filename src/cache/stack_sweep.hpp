@@ -88,10 +88,10 @@
 // restructure the probe/scan, never the update order.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "cache/config.hpp"
 #include "cache/stats.hpp"
@@ -127,28 +127,12 @@ class StackSweepSim {
   // Stats for any configuration whose slot was activated by the
   // constructor; bit-identical to a cold fast/reference replay.
   CacheStats stats(const CacheConfig& cfg) const;
+  // stats(cfg) for each of `configs`, in order.
+  std::vector<CacheStats> stats(std::span<const CacheConfig> configs) const;
 
   std::uint32_t line_bytes() const;
   // True when this sim runs the AVX2 kernel (fixed at construction).
   bool simd() const;
-
-  // Raw accumulated totals. Every per-configuration counter derives from
-  // these at stats() time, and they are plain sums over the replayed
-  // records — which is what makes the set-partitioned parallel sweep
-  // exact: shards replay disjoint set partitions of one stream, their
-  // totals are added, and stats_from() on the sum is bit-identical to a
-  // serial replay (integer addition is associative and commutative).
-  struct Totals {
-    std::uint64_t n = 0;       // records replayed
-    std::uint64_t writes = 0;  // of which writes
-    std::array<std::uint64_t, 512> hist{};   // hit-mask | first-probe bins
-    std::array<std::uint64_t, 6> wb_bytes{};  // per-slot write-back bytes
-  };
-  // Add this sim's accumulated totals into `into`.
-  void add_totals(Totals& into) const;
-  // Stats for `cfg` computed from explicit totals (typically a cross-shard
-  // sum). stats(cfg) == stats_from(own totals, cfg).
-  CacheStats stats_from(const Totals& totals, const CacheConfig& cfg) const;
 
   // Implementation base; the kernel TUs derive one kernel per subline
   // count and SIMD flavor.

@@ -65,8 +65,8 @@ class MemoEvaluator final : public BasicEvaluator<Desc> {
   const CacheStats& stats(const Desc& d) { return measure(d).stats; }
 
   // Measure every not-yet-memoized point of `descs` in one bank pass (one
-  // stack-distance traversal per line-size family, sharded by
-  // default_sweep_jobs()), so searches over them are pure lookups.
+  // stack-distance traversal per line-size family, the families on up to
+  // default_sweep_jobs() threads), so searches over them are pure lookups.
   void prime(std::span<const Desc> descs);
 
   // Memoize externally measured stats (stats[i] ~ descs[i], e.g. a

@@ -6,8 +6,9 @@
 // configuration of a previously tuned phase whose signature is within the
 // reuse threshold (phase distance mapping, Adegbija et al.) or paying for
 // a fresh full-space sweep over the phase's first sweep_windows windows
-// (BankAccumulator under the configured sweep-jobs, closed by the
-// paper's Fig. 6 heuristic over a primed TraceEvaluator).
+// (BankAccumulator with its three line-size groups on up to sweep-jobs
+// threads, closed by the paper's Fig. 6 heuristic over a primed
+// TraceEvaluator).
 //
 // Phase lifecycle, per detected phase:
 //   warmup   — buffer windows; after key_skip_windows + key_windows
@@ -139,9 +140,8 @@ class PhaseAdaptiveTuner {
   std::uint64_t swept_words_ = 0;
 };
 
-// Render a timeline as a deterministic table (stdout-stable across shard
-// counts). Used by stcache_tune --phases and the
-// example.
+// Render a timeline as a deterministic table (stdout-stable across
+// --sweep-jobs values). Used by stcache_tune --phases and the example.
 void print_phase_timeline(std::ostream& os,
                           std::span<const PhaseRecord> timeline);
 

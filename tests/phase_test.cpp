@@ -1,7 +1,7 @@
 // Phase subsystem tests: classifier boundary detection against ground
 // truth, slicing invariance, tuner timeline equivalence against the
-// reference model and across shard counts, phase-table lookup semantics,
-// and the [phase] metrics gating convention.
+// reference model and across --sweep-jobs values, phase-table lookup
+// semantics, and the [phase] metrics gating convention.
 //
 // The determinism claims here are what repro.sh's `stcache_tune --phases`
 // cmp gates rely on: window signatures depend only on the concatenation
@@ -199,9 +199,9 @@ void expect_same_timeline(const std::vector<PhaseRecord>& a,
 }
 
 // The full timeline — verdicts, configs, distances — must be exactly
-// equal across shard counts and feed chunkings, and every swept phase's
-// verdict must be the Fig. 6 walk over reference-model stats of the words
-// its bank measured (the phase's first swept_words words).
+// equal across --sweep-jobs values and feed chunkings, and every swept
+// phase's verdict must be the Fig. 6 walk over reference-model stats of
+// the words its bank measured (the phase's first swept_words words).
 TEST(PhaseAdaptiveTuner, TimelineEquivalenceAcrossEnginesAndJobs) {
   const PhaseMixedStream mix = square_mix(6, 6);
   const auto base = run_tuner(mix, tuner_params());

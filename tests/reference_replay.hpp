@@ -54,6 +54,17 @@ inline CacheStats reference_stats(const CacheConfig& cfg,
   return cache.stats();
 }
 
+inline CacheStats reference_stats(const CacheGeometry& g,
+                                  std::span<const std::uint32_t> packed,
+                                  const TimingParams& timing = {}) {
+  CacheModel cache(g, timing);
+  for (const std::uint32_t word : packed) {
+    cache.access((word & FastCacheSim::kPackedBlockMask) << 4,
+                 (word & FastCacheSim::kPackedWriteBit) != 0);
+  }
+  return cache.stats();
+}
+
 // The per-configuration fast sims over a packed stream.
 inline CacheStats fast_stats(const CacheConfig& cfg,
                              std::span<const std::uint32_t> packed,

@@ -1,23 +1,18 @@
-// Determinism suite for the set-partitioned parallel sweep
-// (trace/replay.hpp, BankAccumulator sweep_jobs).
+// Determinism suite for the group-threaded bank (trace/replay.hpp,
+// BankAccumulator sweep_jobs).
 //
-// The parallel sweep is only allowed to exist because its merge is EXACT:
-// for any shard count, any feed chunking, and either SIMD flavor, the
-// bank's stats() must be bit-identical — every CacheStats counter — to
-// the serial sweep of the same stream (which the equivalence suite pins to
-// the reference models). The partition key (bits 2..6 of the 16 B block
-// number for the 27-config bank, asserted below) is a whole-set split for
-// every one of the 27 configurations, so each shard replays a closed
-// sub-trace and the per-group Totals add without interaction; these tests
-// enforce that claim on real workload streams (instruction AND data sides)
-// and on
-// adversarial synthetics chosen to stress the scatter (single-partition
-// strided scans, pointer chases, tight loops).
-//
-// Partition-count variation (STCACHE_SWEEP_PARTITIONS) cannot be covered
-// in-process — sweep_partitions() is resolved once per process — so
-// repro.sh cmp's stcache_tune output across partition counts at the CLI
-// level; here the count is asserted sane and jobs are clamped against it.
+// A bank is one group per line size: a sweep traversal for two or more
+// configurations, the fast sim for one. With sweep_jobs > 1, feed() runs
+// the groups on min(sweep_jobs, groups) threads, and every group replays
+// each chunk whole on exactly one thread. Groups share no state, so each
+// group's result is its serial result whichever thread ran it: for any
+// thread count, any feed chunking and either SIMD flavor, stats() must be
+// bit-identical, every CacheStats counter, to the serial bank of the same
+// stream (which the equivalence suite pins to the reference models).
+// These tests enforce that on real workload streams (instruction AND data
+// sides), on adversarial synthetics (strided scans, pointer chases, tight
+// loops), on scaled geometry banks, and on banks whose singleton groups
+// run on threads, and they pin the effective thread count of each bank.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,10 +25,10 @@
 #include "cache/config.hpp"
 #include "cache/stack_sweep.hpp"
 #include "core/scaled_space.hpp"
+#include "reference_replay.hpp"
 #include "trace/replay.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/trace.hpp"
-#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "workloads/workload.hpp"
 
@@ -79,7 +74,7 @@ std::vector<CacheStats> serial_stats(std::span<const std::uint32_t> packed) {
 void expect_sharded_identical(std::span<const std::uint32_t> packed,
                               const std::string& stream_name) {
   const std::vector<CacheStats> serial = serial_stats(packed);
-  // 7 exercises uneven partition ownership (32 partitions split 5/5/5/5/4/4/4).
+  // 2 leaves one thread two of the three groups; 4, 7 and 32 clamp to 3.
   for (const unsigned jobs : {2u, 4u, 7u, 32u}) {
     BankAccumulator bank(all_configs(), {}, jobs);
     bank.feed(packed);
@@ -93,60 +88,37 @@ void expect_sharded_identical(std::span<const std::uint32_t> packed,
   }
 }
 
-TEST(ShardedSweep, PartitionCountIsSanePowerOfTwo) {
-  const unsigned p = sweep_partitions();
-  EXPECT_GE(p, 1u);
-  EXPECT_LE(p, 32u);
-  EXPECT_EQ(p & (p - 1), 0u) << "partition count must be a power of two";
-}
-
-// The key derivation shared by both bank kinds must land on bits 2..6 of
-// the block number with 32 partitions for the full platform bank. The
-// imbalance line reports the partition count and the per-shard record
-// counts; with four shards, shard = partition % 4 = the two lowest key
-// bits. A stream whose blocks agree on bits 2..3 (and differ everywhere
-// else) must land on one shard, and one that walks bits 2..3 must spread
-// evenly — which holds only when the key starts at bit 2.
-TEST(ShardedSweep, PlatformBankKeyIsBits2To6With32Partitions) {
-  if (sweep_partitions() != 32) GTEST_SKIP() << "STCACHE_SWEEP_PARTITIONS set";
-  const auto shard_line = [](std::span<const std::uint32_t> words) {
-    const bool was = metrics_enabled();
-    set_metrics_enabled(true);
-    BankAccumulator bank(all_configs(), {}, 4);
-    bank.feed(words);
-    testing::internal::CaptureStderr();
-    bank.stats();
-    set_metrics_enabled(was);
-    return testing::internal::GetCapturedStderr();
-  };
-  std::vector<std::uint32_t> outside, inside;
-  for (std::uint32_t i = 0; i < 1024; ++i) {
-    outside.push_back((i & 3u) | ((i >> 2) << 4));  // bits 2..3 fixed
-    inside.push_back(((i & 3u) << 2) | ((i >> 2) << 4));  // bits 2..3 walk
-  }
-  EXPECT_NE(shard_line(outside).find("partitions=32 max=1024 mean=256 "),
-            std::string::npos)
-      << shard_line(outside);
-  EXPECT_NE(shard_line(inside).find("partitions=32 max=256 mean=256 "),
-            std::string::npos)
-      << shard_line(inside);
-}
-
-TEST(ShardedSweep, JobsClampToPartitions) {
+// One thread per line-size group at most: three for the 27-config bank,
+// four for the scaled spaces' four line sizes, and none beyond the caller
+// for a bank of one (what every Fig. 6 walk measures).
+TEST(ShardedSweep, JobsClampToLineSizeGroups) {
   const PackedWorkload& w = packed_workload("crc");
-  BankAccumulator bank(all_configs(), {}, 1000);
-  EXPECT_LE(bank.sweep_jobs(), sweep_partitions());
-  bank.feed(w.ifetch);
-  const std::vector<CacheStats> sharded = bank.stats();
   const std::vector<CacheStats> serial = serial_stats(w.ifetch);
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(sharded[i], serial[i]) << all_configs()[i].name();
+  for (const auto& [jobs, effective] :
+       {std::pair{2u, 2u}, std::pair{4u, 3u}, std::pair{32u, 3u}}) {
+    BankAccumulator bank(all_configs(), {}, jobs);
+    EXPECT_EQ(bank.sweep_jobs(), effective) << "jobs=" << jobs;
+    bank.feed(w.ifetch);
+    const std::vector<CacheStats> threaded = bank.stats();
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(threaded[i], serial[i])
+          << all_configs()[i].name() << " jobs=" << jobs;
+    }
   }
+  EXPECT_EQ(
+      BankAccumulator(ScaledSpace::embedded_32k().configs(), {}, 32)
+          .sweep_jobs(),
+      4u);
+  const CacheConfig one = all_configs().front();
+  EXPECT_EQ(
+      BankAccumulator(std::span<const CacheConfig>(&one, 1), {}, 4)
+          .sweep_jobs(),
+      1u);
 }
 
 TEST(ShardedSweep, DefaultIsSerial) {
-  // Neither set_default_sweep_jobs nor STCACHE_SWEEP_JOBS is in play here,
-  // so a default-constructed bank must not spawn a pool.
+  // set_default_sweep_jobs is not in play here, so a default-constructed
+  // bank must not spawn a pool.
   BankAccumulator bank(all_configs());
   EXPECT_EQ(bank.sweep_jobs(), 1u);
 }
@@ -154,8 +126,8 @@ TEST(ShardedSweep, DefaultIsSerial) {
 TEST(ShardedSweep, SetDefaultSweepJobsIsPickedUp) {
   set_default_sweep_jobs(4);
   BankAccumulator bank(all_configs());
-  EXPECT_EQ(bank.sweep_jobs(), std::min(4u, sweep_partitions()));
-  set_default_sweep_jobs(0);  // back to the environment default
+  EXPECT_EQ(bank.sweep_jobs(), 3u);  // the 27-config bank's three groups
+  set_default_sweep_jobs(0);  // back to serial
   BankAccumulator serial(all_configs());
   EXPECT_EQ(serial.sweep_jobs(), 1u);
 }
@@ -172,9 +144,9 @@ TEST(ShardedSweep, WorkloadDataStreams) {
   }
 }
 
-// Streaming pipeline shape: many small uneven chunks, sharded, must equal
+// Streaming pipeline shape: many small uneven chunks, threaded, must equal
 // one serial feed of the concatenation (chunk boundaries never align with
-// partition or line boundaries).
+// line boundaries).
 TEST(ShardedSweep, ChunkedFeedMatchesSingleFeed) {
   const PackedWorkload& w = packed_workload("ucbqsort");
   const std::span<const std::uint32_t> packed = w.ifetch;
@@ -194,7 +166,7 @@ TEST(ShardedSweep, ChunkedFeedMatchesSingleFeed) {
   }
 }
 
-// Both SIMD flavors, serial and sharded, must agree exactly.
+// Both SIMD flavors, serial and threaded, must agree exactly.
 TEST(ShardedSweep, SimdFlavorsIdentical) {
   const PackedWorkload& w = packed_workload("bcnt");
   set_stack_sweep_simd(false);
@@ -214,25 +186,24 @@ TEST(ShardedSweep, AdversarialSynthetics) {
   // Uniform thrash: working set 8x the largest cache, heavy write-backs.
   streams.emplace_back(
       "uniform64k", gen_uniform(0x10000, 64 * 1024, kMaxRecords, 0.30, rng));
-  // 64 B-stride write scan: every access lands in a new line but a single
-  // scatter class per 128 B — maximal shard imbalance.
+  // 64 B-stride write scan: every access lands in a new line.
   streams.emplace_back("strided64",
                        gen_strided(0x2000, 64, kMaxRecords / 2, 0.5, rng));
   // Pointer chase: temporal reuse, no spatial locality.
   streams.emplace_back(
       "chase32k",
       gen_pointer_chase(0x8000, 32 * 1024, 16, kMaxRecords / 2, rng));
-  // Tight fetch loop: lives on the repeat fast path inside one partition.
+  // Tight fetch loop: lives on the repeat fast path.
   streams.emplace_back("loop4k", gen_loop_ifetch(0x400, 4096, 100));
   for (const auto& [name, trace] : streams) {
     expect_sharded_identical(pack(trace), name);
   }
 }
 
-// Scaled (generic-geometry) banks shard too: the partition key is derived
-// from the family's line sizes and narrowest set-index span, so any shard
-// count must stay bit-identical to the serial generalized traversal — on
-// both stream sides, under uneven job counts, and with chunked feeding.
+// Scaled (generic-geometry) banks thread too: four line-size families, so
+// any thread count must stay bit-identical to the serial generalized
+// traversal — on both stream sides, with fewer threads than groups, and
+// with chunked feeding.
 TEST(ShardedSweep, ScaledBankShardsBitIdentical) {
   const ScaledSpace space = ScaledSpace::embedded_32k();
   const std::vector<CacheGeometry>& geoms = space.configs();
@@ -245,7 +216,7 @@ TEST(ShardedSweep, ScaledBankShardsBitIdentical) {
       const std::vector<CacheStats> serial = serial_bank.stats();
       for (const unsigned jobs : {2u, 3u, 4u}) {
         BankAccumulator bank(geoms, {}, jobs);
-        // Chunked feed: boundaries never align with partitions.
+        // Chunked feed: boundaries never align with lines.
         const std::size_t chunk = 4097;
         for (std::size_t off = 0; off < packed.size(); off += chunk) {
           bank.feed(packed.subspan(off, std::min(chunk, packed.size() - off)));
@@ -262,7 +233,7 @@ TEST(ShardedSweep, ScaledBankShardsBitIdentical) {
   }
 }
 
-// Degenerate feeds: empty, single record, fewer records than partitions.
+// Degenerate feeds: empty, single record, fewer records than threads.
 TEST(ShardedSweep, TinyStreams) {
   const std::vector<CacheConfig>& configs = all_configs();
   {
@@ -273,7 +244,7 @@ TEST(ShardedSweep, TinyStreams) {
   }
   std::vector<std::uint32_t> tiny;
   for (std::uint32_t i = 0; i < 9; ++i) {
-    tiny.push_back(i * 5u);  // spread over several partitions
+    tiny.push_back(i * 5u);  // spread over several sets
   }
   for (std::size_t n : {std::size_t{1}, tiny.size()}) {
     const std::span<const std::uint32_t> s(tiny.data(), n);
@@ -287,46 +258,61 @@ TEST(ShardedSweep, TinyStreams) {
   }
 }
 
-// The imbalance metric is stderr-only, opt-in, and only for jobs > 1.
-TEST(ShardedSweep, ImbalanceMetricBehindMetricsFlag) {
-  const PackedWorkload& w = packed_workload("crc");
-  const bool was = metrics_enabled();
+// Singletons leave the caller thread too: banks whose other line sizes
+// hold one configuration each run FastCacheSim / FastGeomSim groups on
+// pool threads, next to a sweep group. Each configuration must match its
+// reference-model replay and the serial bank.
+TEST(ShardedSweep, SingletonGroupsRunOnThreads) {
+  const PackedWorkload& w = packed_workload("ucbqsort");
+  constexpr std::size_t kChunk = 4097;
 
-  set_metrics_enabled(false);
-  {
-    BankAccumulator bank(all_configs(), {}, 4);
-    bank.feed(w.ifetch);
-    testing::internal::CaptureStderr();
-    bank.stats();
-    EXPECT_EQ(testing::internal::GetCapturedStderr().find("shard imbalance"),
-              std::string::npos);
+  std::vector<CacheConfig> configs;
+  for (const CacheConfig& c : all_configs()) {
+    if (c.line_bytes() == 16) configs.push_back(c);
   }
+  configs.push_back({CacheSizeKB::k4, Assoc::w2, LineBytes::b32, true});
+  configs.push_back({CacheSizeKB::k8, Assoc::w1, LineBytes::b64, false});
+  ASSERT_EQ(configs.size(), 11u);
 
-  set_metrics_enabled(true);
-  {
-    BankAccumulator bank(all_configs(), {}, 4);
-    bank.feed(w.ifetch);
-    testing::internal::CaptureStderr();
-    bank.stats();
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("[sweep] shard imbalance"), std::string::npos) << err;
-    EXPECT_NE(err.find("jobs=" + std::to_string(bank.sweep_jobs())),
-              std::string::npos)
-        << err;
+  const ScaledSpace space = ScaledSpace::embedded_32k();
+  std::vector<CacheGeometry> geoms;
+  for (const CacheGeometry& g : space.configs()) {
+    if (g.line_bytes == 16) geoms.push_back(g);
   }
-  {
-    // Serial bank: no imbalance line even with metrics on.
-    BankAccumulator bank(all_configs(), {}, 1);
-    bank.feed(w.ifetch);
-    testing::internal::CaptureStderr();
-    bank.stats();
-    EXPECT_EQ(testing::internal::GetCapturedStderr().find("shard imbalance"),
-              std::string::npos);
+  geoms.push_back({8192, 2, 128});
+
+  for (const auto* stream : {&w.ifetch, &w.data}) {
+    const std::span<const std::uint32_t> packed = *stream;
+    {
+      BankAccumulator bank(configs, {}, 3);
+      ASSERT_EQ(bank.sweep_jobs(), 3u);
+      const std::vector<CacheStats> threaded =
+          feed_stats(std::move(bank), packed, kChunk);
+      const std::vector<CacheStats> serial =
+          feed_stats(BankAccumulator(configs, {}, 1), packed);
+      for (std::size_t i = 0; i < configs.size(); ++i) {
+        EXPECT_EQ(threaded[i], reference_stats(configs[i], packed))
+            << configs[i].name();
+        EXPECT_EQ(threaded[i], serial[i]) << configs[i].name();
+      }
+    }
+    {
+      BankAccumulator bank(geoms, {}, 3);
+      ASSERT_EQ(bank.sweep_jobs(), 2u);
+      const std::vector<CacheStats> threaded =
+          feed_stats(std::move(bank), packed, kChunk);
+      const std::vector<CacheStats> serial =
+          feed_stats(BankAccumulator(geoms, {}, 1), packed);
+      for (std::size_t i = 0; i < geoms.size(); ++i) {
+        EXPECT_EQ(threaded[i], reference_stats(geoms[i], packed))
+            << geometry_name(geoms[i]);
+        EXPECT_EQ(threaded[i], serial[i]) << geometry_name(geoms[i]);
+      }
+    }
   }
-  set_metrics_enabled(was);
 }
 
-// Moved-from/moved-to banks keep working (the pool and scratch move too).
+// Moved-from/moved-to banks keep working (the pool moves too).
 TEST(ShardedSweep, MoveSemantics) {
   const PackedWorkload& w = packed_workload("crc");
   const std::vector<CacheStats> serial = serial_stats(w.ifetch);

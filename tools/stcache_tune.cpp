@@ -5,8 +5,8 @@
 //   stcache_tune --workload NAME [I|D] [options]
 //   stcache_tune --phases SCENARIO [--naive] [--scale N] [options]
 //
-// options: [--exhaustive] [--space embedded|desktop] [--jobs N]
-//          [--sweep-jobs N] [--metrics-out file.json] [--metrics]
+// options: [--exhaustive] [--space embedded|desktop] [--sweep-jobs N]
+//          [--metrics-out file.json] [--metrics]
 //
 // Both modes tune the selected stream's cache (instruction by default)
 // with the Figure 6 heuristic and print the decision; with --exhaustive
@@ -19,10 +19,10 @@
 // stream chunk by chunk. The workload mode never touches disk: the fast
 // interpreter runs on a capture thread and each packed chunk is folded
 // into the exhaustive configuration bank as it is produced, so capture and
-// sweep overlap. Stdout is byte-identical across file/workload modes,
-// --jobs and --sweep-jobs values for the same trace (--sweep-jobs shards
-// the exhaustive sweep itself by cache-set partition; the merge is exact,
-// see trace/replay.hpp).
+// sweep overlap. Stdout is byte-identical across file/workload modes and
+// --sweep-jobs values for the same trace (--sweep-jobs runs the bank's
+// line-size groups on threads, each group's result its serial result; see
+// trace/replay.hpp).
 //
 // --phases SCENARIO runs the phase-adaptive tuner (src/phase) on a named
 // phase-mixed scenario (squarewave|taskset|datamix, built deterministically
@@ -44,10 +44,10 @@
 // between --sweep-jobs values breaks the byte-identity cmp.
 //
 // Numeric flags are parsed strictly (whole token, no sign): --scale takes
-// a positive integer, --jobs 0..4096 (0 = hardware concurrency) and
-// --sweep-jobs 1..32; anything else exits 2. Sweep metrics go to stderr,
-// and to a JSON file with --metrics-out; the informational [sim]/
-// [trace_io] lines appear only under --metrics (or STCACHE_METRICS=1).
+// a positive integer and --sweep-jobs 1..32; anything else exits 2. Sweep
+// metrics go to stderr, and to a JSON file with --metrics-out; the
+// informational [sim]/[trace_io] lines appear only under --metrics (or
+// STCACHE_METRICS=1).
 #include <algorithm>
 #include <cstring>
 #include <iostream>
@@ -78,14 +78,13 @@ int usage() {
   std::cerr << "usage: stcache_tune <file.stct | --workload NAME | "
                "--phases SCENARIO> [I|D] "
                "[--exhaustive] [--space embedded|desktop] "
-               "[--naive] [--scale N] "
-               "[--jobs N] [--sweep-jobs N] "
+               "[--naive] [--scale N] [--sweep-jobs N] "
                "[--metrics-out file.json] [--metrics]\n";
   return 2;
 }
 
 // The --space report: a full per-config table (integer counts, so any
-// sharding divergence is visible to cmp), then the heuristic and
+// --sweep-jobs divergence is visible to cmp), then the heuristic and
 // exhaustive verdicts from the same measured bank.
 void print_scaled_report(std::ostream& os, const std::string& space_name,
                          bool instruction, std::uint64_t accesses,
@@ -141,7 +140,6 @@ int run(int argc, char** argv) {
   std::string space_name;
   bool instruction = true;
   bool exhaustive = false;
-  SweepOptions sweep;
   std::string metrics_out;
   int i = 1;
   if (argv[1][0] != '-') {
@@ -167,11 +165,7 @@ int run(int argc, char** argv) {
       ++i;
     } else if (std::strcmp(argv[i], "--space") == 0 && i + 1 < argc)
       space_name = argv[++i];
-    else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      if (!parse_flag_u64(argv[i], argv[i + 1], 0, 4096, v)) return 2;
-      sweep.jobs = static_cast<unsigned>(v);
-      ++i;
-    } else if (std::strcmp(argv[i], "--sweep-jobs") == 0 && i + 1 < argc) {
+    else if (std::strcmp(argv[i], "--sweep-jobs") == 0 && i + 1 < argc) {
       if (!parse_flag_u64(argv[i], argv[i + 1], 1, 32, v)) return 2;
       set_default_sweep_jobs(static_cast<unsigned>(v));
       ++i;
@@ -225,7 +219,9 @@ int run(int argc, char** argv) {
     return 0;
   }
 
-  SweepRunner runner(sweep);
+  // Each mode maps one job, so the runner only times it and counts its
+  // accesses; --sweep-jobs is what threads the bank inside that job.
+  SweepRunner runner(SweepOptions{1});
   // --space replaces the platform sweep entirely: it measures its own bank
   // over the materialized stream.
   const bool platform_exhaustive = exhaustive && space_name.empty();
@@ -294,9 +290,9 @@ int run(int argc, char** argv) {
                                   ? ScaledSpace::embedded_32k()
                                   : ScaledSpace::desktop_64k();
     // One bank pass over the packed stream measures all 64 geometries,
-    // one nested stack-distance traversal per line-size family, sharded by
-    // --sweep-jobs through the process default; stdout depends only on
-    // the measured counts, which are bit-identical across shard counts.
+    // one nested stack-distance traversal per line-size family, threaded
+    // by --sweep-jobs through the process default; stdout depends only on
+    // the measured counts, which are bit-identical across thread counts.
     std::vector<CacheStats> sstats;
     runner.map<int>(
         1,

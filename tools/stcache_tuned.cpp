@@ -83,11 +83,12 @@ int run(int argc, char** argv) {
       if (int rc = take_u64(v, 1, std::uint64_t{1} << 24)) return rc;
       opts.session_budget = static_cast<std::size_t>(v);
     } else if (std::strcmp(argv[i], "--sweep-jobs") == 0 && i + 1 < argc) {
-      // Shards each session's bank sweep by cache-set partition. The
-      // daemon's first axis of parallelism is sessions across --workers;
-      // this multiplies threads per in-flight session (worker pools spawn
-      // lazily inside each session's BankAccumulator), so size the product
-      // workers * sweep-jobs to the machine.
+      // Runs each session's bank line-size groups on up to N threads (3
+      // for the 27-config bank). The daemon's first axis of parallelism is
+      // sessions across --workers; this multiplies threads per in-flight
+      // session (worker pools spawn lazily inside each session's
+      // BankAccumulator), so size the product workers * sweep-jobs to the
+      // machine.
       if (int rc = take_u64(v, 1, 32)) return rc;
       set_default_sweep_jobs(static_cast<unsigned>(v));
     } else if (std::strcmp(argv[i], "--max-sessions") == 0 && i + 1 < argc) {
