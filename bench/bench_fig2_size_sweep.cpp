@@ -20,9 +20,8 @@ int run() {
   bench::print_header("Figure 2: energy vs. cache size, parser-like workload",
                       "Figure 2");
 
-  ParserLikeParams params;  // 256 KB dictionary working set
-  const std::vector<std::uint32_t> packed =
-      pack_stream(gen_parser_like(params));
+  ParserLikeParams params;  // 64 KB dictionary working set
+  const std::vector<std::uint32_t> packed = gen_parser_like_packed(params);
   const EnergyModel model;
 
   Table table({"cache size", "miss rate", "cache (on-chip)", "off-chip memory",

@@ -163,18 +163,22 @@ int run(int argc, char** argv) {
   std::string out = "BENCH_phase.json";
   std::vector<char*> rest = {argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-      reps = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
+    std::uint64_t v = 0;
+    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
+      if (!parse_flag_u64(argv[i], argv[i + 1], 1, ~std::uint32_t{0}, v))
+        return 2;
+      reps = static_cast<unsigned>(v);
+      ++i;
+    } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
+      if (!parse_flag_u64(argv[i], argv[i + 1], 1, ~std::uint32_t{0}, v))
+        return 2;
+      scale = static_cast<unsigned>(v);
+      ++i;
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out = argv[++i];
-    else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc)
-      scale = static_cast<unsigned>(std::atoi(argv[++i]));
-    else
+    } else {
       rest.push_back(argv[i]);
-  }
-  if (reps == 0 || scale == 0) {
-    std::cerr << argv[0] << ": --reps and --scale must be > 0\n";
-    return 2;
+    }
   }
   const bench::BenchOptions opts =
       bench::parse_bench_args(static_cast<int>(rest.size()), rest.data());

@@ -17,9 +17,10 @@
 // much search work the phase table saves on recurring phases.
 //
 // Build & run:  ./build/examples/example_phase_adaptive [SCENARIO] [SCALE]
-//               (scenarios: squarewave | taskset | datamix)
-#include <algorithm>
-#include <cstdlib>
+//               (scenarios: squarewave | taskset | datamix; SCALE is an
+//               integer in 1..4294967295, default 1; a bad SCALE exits 2
+//               with usage, an unknown scenario exits 1)
+#include <cstdint>
 #include <iostream>
 #include <span>
 #include <string>
@@ -29,42 +30,46 @@
 #include "energy/energy_model.hpp"
 #include "phase/adaptive.hpp"
 #include "phase/scenario.hpp"
-#include "trace/phase_mix.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 using namespace stcache;
 
-int main(int argc, char** argv) {
-  const std::string name = argc > 1 ? argv[1] : "squarewave";
-  const unsigned scale =
-      argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 1;
-  const PhaseScenario& sc = find_phase_scenario(name);
-  std::cout << "Scenario: " << sc.name << " — " << sc.description << "\n";
+namespace {
 
-  const PhaseMixedStream mix = build_phase_scenario(name, scale);
-  std::cout << "Stream: " << mix.words.size() << " packed words, "
-            << mix.segments.size() << " ground-truth segments\n\n";
+int usage() {
+  std::cerr << "usage: example_phase_adaptive [squarewave|taskset|datamix] "
+               "[SCALE]\n";
+  return 2;
+}
+
+int run(int argc, char** argv) {
+  if (argc > 3) return usage();
+  const std::string name = argc > 1 ? argv[1] : "squarewave";
+  std::uint64_t scale = 1;
+  if (argc > 2 && (!parse_u64(argv[2], scale) || scale == 0 ||
+                   scale > ~std::uint32_t{0}))
+    return usage();
+  const PhaseScenarioStream stream(name, static_cast<unsigned>(scale));
+  const PhaseScenario& sc = stream.scenario();
+  std::cout << "Scenario: " << sc.name << " — " << sc.description << "\n";
+  std::cout << "Stream: " << stream.total_words() << " packed words, "
+            << stream.planned_segments() << " ground-truth segments\n\n";
 
   const EnergyModel model;
   const std::vector<CacheConfig>& configs = all_configs();
 
-  // Feed in bounded chunks, the way a deployment rides the streaming
-  // capture pipeline; the timeline is invariant to the slicing.
-  const auto run = [&](bool distance_mapping) {
-    PhaseTunerParams params;
-    params.distance_mapping = distance_mapping;
-    PhaseAdaptiveTuner tuner(configs, model, params);
-    constexpr std::size_t kChunk = 1u << 16;
-    std::span<const std::uint32_t> rest(mix.words);
-    while (!rest.empty()) {
-      const std::size_t take = std::min<std::size_t>(kChunk, rest.size());
-      tuner.feed(rest.first(take));
-      rest = rest.subspan(take);
-    }
-    return tuner;
+  // Feed the scenario slice by slice, straight from its captured sources,
+  // the way a deployment rides a live stream; the timeline is invariant to
+  // the slicing.
+  const auto feed = [&](PhaseAdaptiveTuner& tuner) {
+    stream.for_each_slice(
+        [&](std::span<const std::uint32_t> words) { tuner.feed(words); });
   };
 
-  PhaseAdaptiveTuner adaptive = run(true);
+  PhaseTunerParams params;
+  PhaseAdaptiveTuner adaptive(configs, model, params);
+  feed(adaptive);
   const std::vector<PhaseRecord> timeline = adaptive.finish();
   print_phase_timeline(std::cout, timeline);
   std::cout << "\nPhase-adaptive: " << timeline.size() << " phases, "
@@ -72,7 +77,9 @@ int main(int argc, char** argv) {
             << " config reuses (" << adaptive.swept_words() << "/"
             << adaptive.words_seen() << " words swept)\n";
 
-  PhaseAdaptiveTuner naive = run(false);
+  params.distance_mapping = false;
+  PhaseAdaptiveTuner naive(configs, model, params);
+  feed(naive);
   const std::vector<PhaseRecord> naive_timeline = naive.finish();
   std::cout << "Naive re-tuning: " << naive_timeline.size() << " phases, "
             << naive.sweeps() << " full sweeps (" << naive.swept_words()
@@ -89,4 +96,18 @@ int main(int argc, char** argv) {
             << "every reused phase skipped a " << configs.size()
             << "-configuration search entirely.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  } catch (...) {
+    std::cerr << "error: unknown exception\n";
+    return 1;
+  }
 }

@@ -6,13 +6,13 @@
 #   ./repro.sh           full pipeline (build, all tests, TSan sweep+bank
 #                        threading+stream+serving+chaos+phase tests,
 #                        ASan/UBSan fault+trace+mmap+bank threading
-#                        +interpreter+crc32+serving+wire+chaos+phase+search
-#                        tests, the throughput/capture/end-to-end/simd/
-#                        parallel/serving/resilience/scaled-sweep/phase
-#                        gates, the --sweep-jobs, trace-file, scaled-space,
-#                        serving (serial and threaded daemon) and
-#                        phase-timeline determinism gates, every bench
-#                        binary)
+#                        +interpreter+crc32+serving+wire+chaos+phase
+#                        +synthetic+search tests, the throughput/capture/
+#                        end-to-end/simd/parallel/serving/resilience/
+#                        scaled-sweep/phase gates, the --sweep-jobs,
+#                        trace-file, scaled-space, serving (serial and
+#                        threaded daemon) and phase-timeline determinism
+#                        gates, every bench binary)
 #   ./repro.sh --quick   build + the parallel-sweep, streaming and serving
 #                        tests (native, TSan, one chaos campaign) + the
 #                        fault-injection, trace-format, mmap-reader,
@@ -88,7 +88,7 @@ RESILIENCE_FILTER=
 # NestedSweepSim's per-group stats path, which settles open dirty epochs
 # into a copy of the write-back counters by level and way offsets.
 cmake -B build-asan -S . -DSTCACHE_SANITIZE=address,undefined > /dev/null
-cmake --build build-asan -j "$(nproc)" --target fault_test trace_io_test mmap_trace_test replay_equivalence_test stack_sweep_test sharded_sweep_test fast_cpu_test stream_test crc32_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test heuristic_test evaluator_test scaled_space_test multilevel_test tuner_fsmd_test tuner_stepper_test search_test
+cmake --build build-asan -j "$(nproc)" --target fault_test trace_io_test mmap_trace_test replay_equivalence_test stack_sweep_test sharded_sweep_test fast_cpu_test stream_test crc32_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test trace_test heuristic_test evaluator_test scaled_space_test multilevel_test tuner_fsmd_test tuner_stepper_test search_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/trace_io_test
 # The out-of-core reader does raw pointer arithmetic over an mmap'd file
@@ -121,10 +121,16 @@ fi
 ./build-asan/tests/serving_resilience_test $RESILIENCE_FILTER
 # The phase classifier's sampled bitmap/histogram indexing and the phase
 # table's nearest-neighbor scan are raw-array arithmetic over packed
-# streams; the composer does cursor arithmetic over borrowed spans. Both
-# suites re-run under ASan/UBSan where an off-by-one cannot hide.
+# streams; the composer and the streamed scenario do cursor arithmetic
+# over borrowed spans. Both suites re-run under ASan/UBSan where an
+# off-by-one cannot hide. phase_mix_test's scale-8 RSS bound runs here at
+# full size: the tuner recycles its window buffers, so ASan's quarantine
+# does not fill with freed windows.
 ./build-asan/tests/phase_test
 ./build-asan/tests/phase_mix_test
+# The parser-like generator's Zipf sampler reads guide[b + 1] for its last
+# bucket, and the packed generator writes into a precomputed reservation.
+./build-asan/tests/trace_test
 # Every search runs through core/search.hpp's walks over descriptor-keyed
 # memo evaluators whose stats() references must survive memo growth; the
 # search suites re-run here so a dangling reference or an out-of-range axis

@@ -26,7 +26,7 @@ PhaseAdaptiveTuner::PhaseAdaptiveTuner(std::span<const CacheConfig> configs,
          "sample stride");
   if (params_.key_windows == 0 || params_.sweep_windows == 0)
     fail("PhaseAdaptiveTuner: key_windows and sweep_windows must be > 0");
-  cur_buf_.reserve(params_.classifier.window_words);
+  cur_buf_ = take_buffer();
   start_phase(0);
 }
 
@@ -43,10 +43,25 @@ void PhaseAdaptiveTuner::feed(std::span<const std::uint32_t> words) {
   }
 }
 
+PhaseAdaptiveTuner::Buffer PhaseAdaptiveTuner::take_buffer() {
+  if (spare_bufs_.empty()) {
+    Buffer buf;
+    buf.reserve(params_.classifier.window_words);
+    return buf;
+  }
+  Buffer buf = std::move(spare_bufs_.back());
+  spare_bufs_.pop_back();
+  return buf;
+}
+
+void PhaseAdaptiveTuner::recycle(Buffer&& buf) {
+  buf.clear();
+  spare_bufs_.push_back(std::move(buf));
+}
+
 void PhaseAdaptiveTuner::on_window(const PhaseClassifier::Window& ev) {
   Buffer buf = std::move(cur_buf_);
-  cur_buf_.clear();
-  cur_buf_.reserve(params_.classifier.window_words);
+  cur_buf_ = take_buffer();
   switch (ev.action) {
     case PhaseClassifier::Action::kContinue:
       // Any pending streak was a blip: those windows, then this one, all
@@ -84,13 +99,16 @@ void PhaseAdaptiveTuner::phase_window(Buffer&& buf) {
     }
     warm_bufs_.push_back(std::move(buf));
     if (key_windows_seen_ >= params_.key_windows) decide();
-  } else if (state_ == State::kSweeping && bank_) {
+    return;
+  }
+  if (state_ == State::kSweeping && bank_) {
     bank_->feed(buf);
     current_.swept_words += buf.size();
     swept_words_ += buf.size();
     if (++bank_windows_ >= params_.sweep_windows) close_sweep();
   }
   // kLocked: the phase's configuration is chosen; nothing to retain.
+  recycle(std::move(buf));
 }
 
 void PhaseAdaptiveTuner::decide() {
@@ -105,6 +123,7 @@ void PhaseAdaptiveTuner::decide() {
     current_.matched_phase = static_cast<std::int64_t>(e.phase);
     table_.note_reuse(m->entry);
     ++reuses_;
+    for (Buffer& b : warm_bufs_) recycle(std::move(b));
     warm_bufs_.clear();
     state_ = State::kLocked;
     return;
@@ -116,11 +135,13 @@ void PhaseAdaptiveTuner::decide() {
   std::deque<Buffer> bufs;
   bufs.swap(warm_bufs_);
   for (Buffer& b : bufs) {
-    if (!bank_) break;  // sweep filled and closed mid-drain
-    bank_->feed(b);
-    current_.swept_words += b.size();
-    swept_words_ += b.size();
-    if (++bank_windows_ >= params_.sweep_windows) close_sweep();
+    if (bank_) {  // else the sweep filled and closed mid-drain
+      bank_->feed(b);
+      current_.swept_words += b.size();
+      swept_words_ += b.size();
+      if (++bank_windows_ >= params_.sweep_windows) close_sweep();
+    }
+    recycle(std::move(b));
   }
 }
 

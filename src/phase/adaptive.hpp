@@ -96,6 +96,8 @@ class PhaseAdaptiveTuner {
   using Buffer = std::vector<std::uint32_t>;
 
   void on_window(const PhaseClassifier::Window& ev);
+  Buffer take_buffer();
+  void recycle(Buffer&& buf);
   void phase_window(Buffer&& buf);
   void decide();
   void close_sweep();
@@ -117,6 +119,10 @@ class PhaseAdaptiveTuner {
   Buffer cur_buf_;
   std::deque<Buffer> pending_bufs_;
   std::deque<Buffer> warm_bufs_;
+  // Buffers of finished windows (dropped once locked, fed to the bank, or
+  // discarded by a reuse verdict), kept for later windows: a stream of any
+  // length allocates only as many window buffers as are ever in flight.
+  std::vector<Buffer> spare_bufs_;
 
   // Current-phase state.
   State state_ = State::kWarmup;

@@ -3,7 +3,6 @@
 #include <initializer_list>
 #include <utility>
 
-#include "trace/replay.hpp"
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"
 #include "workloads/workload.hpp"
@@ -37,37 +36,56 @@ const PhaseScenario& find_phase_scenario(const std::string& name) {
   fail("unknown phase scenario '" + name + "' (known: " + known + ")");
 }
 
-PhaseMixedStream build_phase_scenario(const std::string& name,
-                                      unsigned scale) {
-  if (scale == 0) fail("build_phase_scenario: scale must be > 0");
-  const PhaseScenario& sc = find_phase_scenario(name);
+PhaseScenarioStream::PhaseScenarioStream(const std::string& name,
+                                         unsigned scale) {
+  if (scale == 0) fail("phase scenario: scale must be > 0");
+  scenario_ = &find_phase_scenario(name);
+  const bool instruction = scenario_->instruction;
   constexpr std::uint64_t kKi = 1024;
-  std::vector<std::vector<std::uint32_t>> owned;
-  std::vector<PhaseSegmentSpec> plan;
   const auto add_kernels = [&](std::initializer_list<const char*> names) {
     for (const char* n : names) {
       PackedCapture cap = capture_packed(find_workload(n));
-      owned.push_back(sc.instruction ? std::move(cap.ifetch)
+      sources_.push_back(instruction ? std::move(cap.ifetch)
                                      : std::move(cap.data));
     }
   };
-  if (sc.name == "squarewave") {
+  if (scenario_->name == "squarewave") {
     add_kernels({"crc", "padpcm"});
-    plan = square_wave_plan(768 * kKi * scale, 24);
-  } else if (sc.name == "taskset") {
+    plan_ = square_wave_plan(768 * kKi * scale, 24);
+  } else if (scenario_->name == "taskset") {
     add_kernels({"crc", "jpeg", "ucbqsort", "padpcm"});
     const std::uint64_t lens[] = {512 * kKi * scale, 768 * kKi * scale,
                                   640 * kKi * scale, 576 * kKi * scale};
-    plan = cycle_plan(owned.size(), lens, 4);
+    plan_ = cycle_plan(sources_.size(), lens, 4);
   } else {  // datamix
     add_kernels({"adpcm", "jpeg", "ucbqsort", "g3fax", "epic"});
-    owned.push_back(pack_stream(gen_parser_like({})));
-    plan = interleaved_plan(owned.size(), 24, 384 * kKi * scale,
-                            768 * kKi * scale, 0xC0FFEEULL);
+    sources_.push_back(gen_parser_like_packed({}));
+    plan_ = interleaved_plan(sources_.size(), 24, 384 * kKi * scale,
+                             768 * kKi * scale, 0xC0FFEEULL);
   }
-  std::vector<std::span<const std::uint32_t>> spans(owned.begin(),
-                                                    owned.end());
-  return compose_phases(spans, plan);
+}
+
+std::vector<std::span<const std::uint32_t>> PhaseScenarioStream::source_spans()
+    const {
+  return {sources_.begin(), sources_.end()};
+}
+
+std::uint64_t PhaseScenarioStream::total_words() const {
+  return phase_plan_words(source_spans(), plan_);
+}
+
+void PhaseScenarioStream::for_each_slice(
+    const std::function<void(std::span<const std::uint32_t>)>& fn) const {
+  for_each_phase_slice(source_spans(), plan_, fn);
+}
+
+PhaseMixedStream PhaseScenarioStream::compose() const {
+  return compose_phases(source_spans(), plan_);
+}
+
+PhaseMixedStream build_phase_scenario(const std::string& name,
+                                      unsigned scale) {
+  return PhaseScenarioStream(name, scale).compose();
 }
 
 }  // namespace stcache

@@ -2,8 +2,11 @@
 //
 // Each scenario captures a handful of the Table 1 kernels (plus the
 // synthetic parser-like generator), picks one of the two split streams,
-// and composes a long packed stream from them via trace/phase_mix. The
-// result carries the ground-truth segment list, which is what the oracle
+// and plans a long packed stream over them via trace/phase_mix.
+// PhaseScenarioStream keeps just those sources and the plan and streams
+// the scenario as zero-copy slices of the sources, so its footprint is the
+// sources' (7-12 MB) at every scale; build_phase_scenario() materializes
+// the stream with its ground-truth segment list, which is what the oracle
 // in bench_phase_adaptive and the boundary tests judge against.
 //
 // This lives in src/phase (not src/trace) because it binds the workload
@@ -11,7 +14,10 @@
 // both.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,9 +37,37 @@ const std::vector<PhaseScenario>& phase_scenarios();
 // Look up by name; fail()s with the known names on a miss.
 const PhaseScenario& find_phase_scenario(const std::string& name);
 
-// Build the scenario's stream + ground truth. `scale` multiplies every
-// segment length (1 = the calibrated default, minutes of simulated
-// traffic). Deterministic: same name + scale -> byte-identical stream.
+// A named scenario's source streams and segment plan: its stream, not
+// yet composed. `scale` multiplies every segment length (1 = the
+// calibrated default, minutes of simulated traffic) and leaves the
+// sources as they are. Deterministic: same name + scale -> byte-identical
+// stream. fail()s on an unknown name or a zero scale.
+class PhaseScenarioStream {
+ public:
+  explicit PhaseScenarioStream(const std::string& name, unsigned scale = 1);
+
+  const PhaseScenario& scenario() const { return *scenario_; }
+  std::uint64_t total_words() const;
+  std::size_t planned_segments() const { return plan_.size(); }
+
+  // The stream in order, as spans borrowed from this object's sources
+  // (trace/phase_mix.hpp for_each_phase_slice).
+  void for_each_slice(
+      const std::function<void(std::span<const std::uint32_t>)>& fn) const;
+
+  // The stream materialized, with its ground-truth segments.
+  PhaseMixedStream compose() const;
+
+ private:
+  std::vector<std::span<const std::uint32_t>> source_spans() const;
+
+  const PhaseScenario* scenario_ = nullptr;
+  std::vector<std::vector<std::uint32_t>> sources_;
+  std::vector<PhaseSegmentSpec> plan_;
+};
+
+// PhaseScenarioStream(name, scale).compose(): the scenario's stream and
+// ground truth in memory, for callers that slice it by segment.
 PhaseMixedStream build_phase_scenario(const std::string& name,
                                       unsigned scale = 1);
 

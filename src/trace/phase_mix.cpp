@@ -8,7 +8,7 @@
 
 namespace stcache {
 
-PhaseMixedStream compose_phases(
+std::uint64_t phase_plan_words(
     std::span<const std::span<const std::uint32_t>> sources,
     std::span<const PhaseSegmentSpec> plan) {
   std::uint64_t total = 0;
@@ -23,26 +23,43 @@ PhaseMixedStream compose_phases(
            " is empty");
     total += spec.words;
   }
+  return total;
+}
 
-  PhaseMixedStream out;
-  out.words.reserve(total);
-  out.segments.reserve(plan.size());
+void for_each_phase_slice(
+    std::span<const std::span<const std::uint32_t>> sources,
+    std::span<const PhaseSegmentSpec> plan,
+    const std::function<void(std::span<const std::uint32_t>)>& fn) {
+  phase_plan_words(sources, plan);
   std::vector<std::size_t> cursor(sources.size(), 0);
   for (const PhaseSegmentSpec& spec : plan) {
     const std::span<const std::uint32_t> src = sources[spec.source];
-    const std::uint64_t begin = out.words.size();
     std::uint64_t remaining = spec.words;
     std::size_t& cur = cursor[spec.source];
     while (remaining > 0) {
       const std::size_t take = static_cast<std::size_t>(
           std::min<std::uint64_t>(remaining, src.size() - cur));
-      out.words.insert(out.words.end(), src.begin() + cur,
-                       src.begin() + cur + take);
+      fn(src.subspan(cur, take));
       cur += take;
       if (cur == src.size()) cur = 0;
       remaining -= take;
     }
-    out.segments.push_back({spec.source, begin, out.words.size()});
+  }
+}
+
+PhaseMixedStream compose_phases(
+    std::span<const std::span<const std::uint32_t>> sources,
+    std::span<const PhaseSegmentSpec> plan) {
+  PhaseMixedStream out;
+  out.words.reserve(phase_plan_words(sources, plan));
+  for_each_phase_slice(sources, plan, [&](std::span<const std::uint32_t> s) {
+    out.words.insert(out.words.end(), s.begin(), s.end());
+  });
+  out.segments.reserve(plan.size());
+  std::uint64_t begin = 0;
+  for (const PhaseSegmentSpec& spec : plan) {
+    out.segments.push_back({spec.source, begin, begin + spec.words});
+    begin += spec.words;
   }
   return out;
 }

@@ -17,6 +17,12 @@
 // same source are not byte-identical copies of each other — closer to a
 // task being rescheduled than to a looped recording.
 //
+// for_each_phase_slice() walks those cursors without building the stream:
+// it hands out zero-copy spans of the sources, so a consumer that streams
+// (the phase-adaptive tuner behind stcache_tune --phases) holds only the
+// sources, whatever the plan's length. compose_phases() is the collector
+// over that walk for callers that need the words in one vector.
+//
 // Everything here is deterministic: the same sources + plan (and, for the
 // seeded plan builder, the same seed) produce byte-identical streams on
 // every platform.
@@ -24,6 +30,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -50,9 +57,23 @@ struct PhaseMixedStream {
   std::vector<PhaseSegment> segments;   // tiles words[] exactly, in order
 };
 
+// The plan's total word count. Plan entries that name a missing or empty
+// source, and zero-length entries, are rejected (fail()).
+std::uint64_t phase_plan_words(
+    std::span<const std::span<const std::uint32_t>> sources,
+    std::span<const PhaseSegmentSpec> plan);
+
+// Walk the composed stream without building it: validate the whole plan
+// first (phase_plan_words), then call `fn` once per contiguous run of a
+// source, in stream order — each plan entry's words, split where its
+// source's wrapping cursor wraps. The spans borrow `sources`.
+void for_each_phase_slice(
+    std::span<const std::span<const std::uint32_t>> sources,
+    std::span<const PhaseSegmentSpec> plan,
+    const std::function<void(std::span<const std::uint32_t>)>& fn);
+
 // Concatenate plan segments, slicing each from its source with a wrapping
-// per-source cursor. Empty sources and zero-length plan entries are
-// rejected (fail()).
+// per-source cursor (for_each_phase_slice), and record the ground truth.
 PhaseMixedStream compose_phases(
     std::span<const std::span<const std::uint32_t>> sources,
     std::span<const PhaseSegmentSpec> plan);

@@ -1,10 +1,12 @@
 #include "trace/synthetic.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <vector>
 
+#include "cache/fast_cache.hpp"
 #include "util/error.hpp"
 
 namespace stcache {
@@ -72,8 +74,12 @@ Trace gen_pointer_chase(std::uint32_t base, std::uint32_t ws_bytes,
 namespace {
 
 // Sampler for a Zipf distribution over `n` ranks with exponent `s`, using
-// inverse-CDF over precomputed cumulative weights (n is at most a few
-// hundred thousand here; the table is fine).
+// inverse-CDF over precomputed cumulative weights. A guide table narrows
+// each draw to one bucket of the CDF: the answer for u in
+// [b/kBuckets, (b+1)/kBuckets) lies in [guide_[b], guide_[b+1]], because
+// the full-CDF lower_bound is monotone in u. u * kBuckets is exact in
+// binary floating point, so the bucket of u is exact too, and the bucketed
+// search returns exactly the full search's index.
 class ZipfSampler {
  public:
   ZipfSampler(std::uint32_t n, double s) : cdf_(n) {
@@ -83,24 +89,36 @@ class ZipfSampler {
       cdf_[i] = acc;
     }
     for (double& v : cdf_) v /= acc;
+    for (std::uint32_t b = 0; b <= kBuckets; ++b) {
+      guide_[b] = static_cast<std::uint32_t>(
+          std::lower_bound(cdf_.begin(), cdf_.end(),
+                           static_cast<double>(b) / kBuckets) -
+          cdf_.begin());
+    }
   }
 
   std::uint32_t sample(Rng& rng) const {
-    const double u = rng.next_double();
-    auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+    const double u = rng.next_double();  // [0, 1)
+    const auto b = static_cast<std::uint32_t>(u * kBuckets);
+    auto it = std::lower_bound(cdf_.begin() + guide_[b],
+                               cdf_.begin() + guide_[b + 1], u);
     return static_cast<std::uint32_t>(it - cdf_.begin());
   }
 
  private:
+  static constexpr std::uint32_t kBuckets = 4096;
   std::vector<double> cdf_;
+  std::array<std::uint32_t, kBuckets + 1> guide_;
 };
 
-}  // namespace
+// Each input-scan access is followed by a parse-output write with this
+// probability.
+constexpr double kParserWriteProb = 0.2;
 
-Trace gen_parser_like(const ParserLikeParams& p) {
+// The parser-like access sequence, one emit(addr, kind) per access.
+template <typename Emit>
+void parser_like_walk(const ParserLikeParams& p, Emit&& emit) {
   Rng rng(p.seed);
-  Trace t;
-  t.reserve(p.accesses);
 
   // Packed address-space layout with small pads, as a real linker would
   // produce: the regions never overlap in index space for any cache at
@@ -131,20 +149,48 @@ Trace gen_parser_like(const ParserLikeParams& p) {
     if (u < p.dict_fraction) {
       const std::uint32_t entry = zipf.sample(rng);
       const auto word = static_cast<std::uint32_t>(rng.next_below(16)) * 4;
-      t.push_back({dict_base + entry * 64 + word, AccessKind::kRead});
+      emit(dict_base + entry * 64 + word, AccessKind::kRead);
     } else if (u < p.dict_fraction + p.chase_fraction) {
-      t.push_back({chase_base + chase_order[chase_cursor] * 32, AccessKind::kRead});
+      emit(chase_base + chase_order[chase_cursor] * 32, AccessKind::kRead);
       chase_cursor = (chase_cursor + 1) % chase_nodes;
     } else {
-      t.push_back({input_base + input_cursor, AccessKind::kRead});
+      emit(input_base + input_cursor, AccessKind::kRead);
       input_cursor = (input_cursor + 4) % p.input_bytes;
-      if (rng.next_bool(0.2)) {
+      if (rng.next_bool(kParserWriteProb)) {
         // Occasional write of parse output next to the input stream.
-        t.push_back({write_base + (input_cursor % 4096), AccessKind::kWrite});
+        emit(write_base + (input_cursor % 4096), AccessKind::kWrite);
       }
     }
   }
+}
+
+}  // namespace
+
+Trace gen_parser_like(const ParserLikeParams& p) {
+  Trace t;
+  t.reserve(p.accesses);
+  parser_like_walk(p, [&](std::uint32_t addr, AccessKind kind) {
+    t.push_back({addr, kind});
+  });
   return t;
+}
+
+std::vector<std::uint32_t> gen_parser_like_packed(const ParserLikeParams& p) {
+  // Room for the expected writes with a quarter to spare, so the vector
+  // is allocated once.
+  const double scan_fraction =
+      std::max(0.0, 1.0 - p.dict_fraction - p.chase_fraction);
+  std::vector<std::uint32_t> words;
+  words.reserve(p.accesses +
+                static_cast<std::uint64_t>(static_cast<double>(p.accesses) *
+                                           scan_fraction * kParserWriteProb *
+                                           1.25));
+  parser_like_walk(p, [&](std::uint32_t addr, AccessKind kind) {
+    words.push_back((addr >> 4) | (kind == AccessKind::kWrite
+                                       ? FastCacheSim::kPackedWriteBit
+                                       : 0u));
+  });
+  return words;
 }
 
 }  // namespace stcache

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "trace/trace.hpp"
 #include "util/rng.hpp"
@@ -49,5 +50,11 @@ struct ParserLikeParams {
   std::uint64_t seed = 0x5eed;
 };
 Trace gen_parser_like(const ParserLikeParams& params);
+
+// The same stream generated straight into pack_stream() format (bit 31 =
+// write, bits 30..0 = 16 B block): word for word
+// pack_stream(gen_parser_like(params)), without the TraceRecord vector.
+std::vector<std::uint32_t> gen_parser_like_packed(
+    const ParserLikeParams& params);
 
 }  // namespace stcache

@@ -1,7 +1,8 @@
 // Phase subsystem tests: classifier boundary detection against ground
 // truth, slicing invariance, tuner timeline equivalence against the
-// reference model and across --sweep-jobs values, phase-table lookup
-// semantics, and the [phase] metrics gating convention.
+// reference model, across --sweep-jobs values and between a live capture
+// and its stored stream, phase-table lookup semantics, and the [phase]
+// metrics gating convention.
 //
 // The determinism claims here are what repro.sh's `stcache_tune --phases`
 // cmp gates rely on: window signatures depend only on the concatenation
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/config.hpp"
@@ -26,10 +28,12 @@
 #include "reference_replay.hpp"
 #include "trace/phase_mix.hpp"
 #include "trace/replay.hpp"
+#include "trace/stream.hpp"
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "workloads/workload.hpp"
 
 namespace stcache {
 namespace {
@@ -193,6 +197,7 @@ void expect_same_timeline(const std::vector<PhaseRecord>& a,
     EXPECT_EQ(a[i].table_distance, b[i].table_distance)
         << what << " phase " << i;
     EXPECT_EQ(a[i].matched_phase, b[i].matched_phase) << what << " phase " << i;
+    EXPECT_EQ(a[i].swept_words, b[i].swept_words) << what << " phase " << i;
     EXPECT_EQ(a[i].configs_examined, b[i].configs_examined)
         << what << " phase " << i;
   }
@@ -233,6 +238,35 @@ TEST(PhaseAdaptiveTuner, TimelineEquivalenceAcrossEnginesAndJobs) {
         << "phase at " << r.begin;
   }
   EXPECT_GE(swept, 2u);
+}
+
+// The live path: a tuner fed the selected side of each stream_workload
+// chunk, as the capture thread publishes it through the SPSC queue, tunes
+// exactly like one fed the whole capture_packed stream.
+TEST(PhaseAdaptiveTuner, LiveCaptureMatchesCapturedStream) {
+  const std::pair<const char*, bool> cases[] = {{"crc", true},
+                                                {"ucbqsort", false}};
+  for (const auto& [name, instruction] : cases) {
+    const std::string what =
+        std::string(name) + (instruction ? " I" : " D");
+    const Workload& w = find_workload(name);
+    PhaseAdaptiveTuner live(all_configs(), test_model(), tuner_params());
+    stream_workload(w, [&](const PackedChunk& chunk) {
+      live.feed(instruction ? chunk.ifetch_words() : chunk.data_words());
+    });
+    const PackedCapture cap = capture_packed(w);
+    const std::vector<std::uint32_t>& words =
+        instruction ? cap.ifetch : cap.data;
+    PhaseAdaptiveTuner whole(all_configs(), test_model(), tuner_params());
+    whole.feed(words);
+    const std::vector<PhaseRecord> live_tl = live.finish();
+    expect_same_timeline(whole.finish(), live_tl, what);
+    EXPECT_EQ(live.words_seen(), words.size()) << what;
+    EXPECT_GT(live.sweeps(), 0u) << what;
+    EXPECT_EQ(live.sweeps(), whole.sweeps()) << what;
+    EXPECT_EQ(live.reuses(), whole.reuses()) << what;
+    EXPECT_EQ(live.boundaries(), whole.boundaries()) << what;
+  }
 }
 
 // Recurring behaviors must hit the phase table: with distance mapping the

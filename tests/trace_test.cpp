@@ -1,6 +1,10 @@
 // Tests of trace capture, splitting, replay, and the synthetic generators.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "reference_replay.hpp"
 #include "trace/replay.hpp"
 #include "trace/synthetic.hpp"
@@ -140,6 +144,44 @@ TEST(Synthetic, GeneratorsAreDeterministic) {
   Trace a = gen_parser_like(params);
   Trace b = gen_parser_like(params);
   EXPECT_EQ(a, b);
+}
+
+// FNV-1a (64-bit) over the words' little-endian bytes.
+std::uint64_t fnv1a(std::span<const std::uint32_t> words) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint32_t w : words) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (w >> (8 * b)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Figure 2 and the datamix phase scenario both run the default parser-like
+// stream, so it is pinned word for word: a sampler change that moves a
+// single Zipf rank fails here. The size and digest were recorded with a
+// sampler that ran std::lower_bound over the whole CDF, so they also pin
+// the guide-table sampler to the same ranks.
+TEST(Synthetic, ParserLikeStreamIsPinned) {
+  const std::vector<std::uint32_t> words = pack_stream(gen_parser_like({}));
+  EXPECT_EQ(words.size(), 2'059'675u);
+  EXPECT_EQ(fnv1a(words), 0xa31bfc033ff908e3ULL);
+}
+
+// The packed generator is the Trace generator packed, word for word, also
+// at the guide table's edges: a 2-rank dictionary, and a flatter exponent
+// under another seed.
+TEST(Synthetic, ParserLikePackedMatchesPackedTrace) {
+  ParserLikeParams two_ranks;
+  two_ranks.dict_bytes = 128;
+  ParserLikeParams flatter;
+  flatter.zipf_s = 0.8;
+  flatter.seed = 0xFACE;
+  for (const ParserLikeParams& p : {ParserLikeParams{}, two_ranks, flatter}) {
+    EXPECT_EQ(gen_parser_like_packed(p), pack_stream(gen_parser_like(p)))
+        << "dict_bytes " << p.dict_bytes << ", zipf_s " << p.zipf_s;
+  }
 }
 
 TEST(Synthetic, InvalidArgumentsThrow) {

@@ -25,15 +25,17 @@
 // trace/replay.hpp).
 //
 // --phases SCENARIO runs the phase-adaptive tuner (src/phase) on a named
-// phase-mixed scenario (squarewave|taskset|datamix, built deterministically
-// in-process) and prints the per-phase tuning timeline: each detected
-// phase's word range, whether its configuration was reused from a close
-// earlier phase (phase distance mapping) or freshly swept, and the Fig. 6
-// verdict. --naive disables distance mapping (every phase re-sweeps) as
-// the comparison baseline; --scale N multiplies every segment length. The
-// timeline depends only on bank stats and fixed-offset window signatures,
-// so stdout is byte-identical across --sweep-jobs values (repro.sh
-// cmp-gates this).
+// phase-mixed scenario (squarewave|taskset|datamix, captured
+// deterministically in-process) and prints the per-phase tuning timeline:
+// each detected phase's word range, whether its configuration was reused
+// from a close earlier phase (phase distance mapping) or freshly swept,
+// and the Fig. 6 verdict. The composed stream is never built: the tuner is
+// fed zero-copy slices of the scenario's captured sources, so memory is
+// the sources' 7-12 MB at any --scale, not 4 B per stream word. --naive
+// disables distance mapping (every phase re-sweeps) as the comparison
+// baseline; --scale N multiplies every segment length. The timeline
+// depends only on bank stats and fixed-offset window signatures, so stdout
+// is byte-identical across --sweep-jobs values (repro.sh cmp-gates this).
 //
 // --space embedded|desktop switches from the paper's 27-point platform to
 // a ScaledSpace (64 generic geometries): every configuration is measured
@@ -48,7 +50,6 @@
 // metrics go to stderr, and to a JSON file with --metrics-out; the
 // informational [sim]/[trace_io] lines appear only under --metrics (or
 // STCACHE_METRICS=1).
-#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -193,29 +194,28 @@ int run(int argc, char** argv) {
   const std::vector<CacheConfig>& configs = all_configs();
 
   if (!phases_name.empty()) {
-    const PhaseScenario& sc = find_phase_scenario(phases_name);
-    const PhaseMixedStream mix = build_phase_scenario(phases_name,
-                                                      phases_scale);
+    const PhaseScenarioStream stream(phases_name, phases_scale);
+    const PhaseScenario& sc = stream.scenario();
     PhaseTunerParams params;
     params.distance_mapping = !phases_naive;
     PhaseAdaptiveTuner tuner(configs, model, params);
-    // Feed at the streaming pipeline's chunk granularity; the timeline is
+    // Feed the scenario as borrowed slices of its sources; the timeline is
     // invariant to the slicing (tests/phase_test.cpp).
-    const std::span<const std::uint32_t> words(mix.words);
-    constexpr std::size_t kChunk = 64 * 1024;
-    for (std::size_t off = 0; off < words.size(); off += kChunk)
-      tuner.feed(words.subspan(off, std::min(kChunk, words.size() - off)));
+    stream.for_each_slice(
+        [&](std::span<const std::uint32_t> words) { tuner.feed(words); });
     const std::vector<PhaseRecord> timeline = tuner.finish();
+    const std::uint64_t words = stream.total_words();
     std::cout << "Phase-adaptive tuning on scenario '" << sc.name << "' ("
-              << (sc.instruction ? "I" : "D") << " stream, " << words.size()
-              << " words, " << mix.segments.size() << " planned segments"
+              << (sc.instruction ? "I" : "D") << " stream, " << words
+              << " words, " << stream.planned_segments()
+              << " planned segments"
               << (phases_naive ? ", naive re-tuning" : "") << ")...\n\n";
     print_phase_timeline(std::cout, timeline);
     std::cout << "\nPhases: " << timeline.size() << "; boundaries "
               << tuner.boundaries() << "; blips " << tuner.blips()
               << "; sweeps " << tuner.sweeps() << "; reuses "
               << tuner.reuses() << "; swept words " << tuner.swept_words()
-              << "/" << words.size() << "\n";
+              << "/" << words << "\n";
     return 0;
   }
 
