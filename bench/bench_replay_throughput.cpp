@@ -74,6 +74,7 @@
 
 #include "cache/configurable_cache.hpp"
 #include "cache/fast_cache.hpp"
+#include "cache/packed.hpp"
 #include "cache/stack_sweep.hpp"
 #include "isa/assembler.hpp"
 #include "sim/cpu.hpp"
@@ -83,6 +84,7 @@
 #include "trace/trace.hpp"
 #include "trace/trace_io.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 #include "workloads/workload.hpp"
 
@@ -125,8 +127,8 @@ std::vector<CacheStats> reference_bank(const std::vector<CacheConfig>& configs,
   bank.reserve(configs.size());
   for (const CacheConfig& cfg : configs) bank.emplace_back(cfg);
   for (const std::uint32_t word : packed) {
-    const std::uint32_t addr = (word & FastCacheSim::kPackedBlockMask) << 4;
-    const bool write = (word & FastCacheSim::kPackedWriteBit) != 0;
+    const std::uint32_t addr = (word & kPackedBlockMask) << 4;
+    const bool write = (word & kPackedWriteBit) != 0;
     for (ConfigurableCache& cache : bank) cache.access(addr, write);
   }
   std::vector<CacheStats> stats;
@@ -343,13 +345,20 @@ EndToEndTimes time_end_to_end(const Workload& w, unsigned reps,
 int run(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-      opts.reps = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (std::strcmp(argv[i], "--max-records") == 0 && i + 1 < argc)
-      opts.max_records = static_cast<std::size_t>(std::atoll(argv[++i]));
-    else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
+    std::uint64_t v = 0;
+    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
+      if (!parse_flag_u64(argv[i], argv[i + 1], 1, ~std::uint32_t{0}, v))
+        return 2;
+      opts.reps = static_cast<unsigned>(v);
+      ++i;
+    } else if (std::strcmp(argv[i], "--max-records") == 0 && i + 1 < argc) {
+      if (!parse_flag_u64(argv[i], argv[i + 1], 1, ~std::uint64_t{0}, v))
+        return 2;
+      opts.max_records = static_cast<std::size_t>(v);
+      ++i;
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       opts.out = argv[++i];
-    else {
+    } else {
       std::cerr << "usage: " << argv[0]
                 << " [--reps N] [--max-records N] [--out file.json]\n";
       return 2;

@@ -52,13 +52,20 @@ struct Options {
 
 Options parse_args(int argc, char** argv) {
   Options opts;
+  // Exits 2 unless argv[i + 1] is an integer in [lo, hi].
+  const auto value = [&](int& i, std::uint64_t lo, std::uint64_t hi) {
+    std::uint64_t v = 0;
+    if (!parse_flag_u64(argv[i], argv[i + 1], lo, hi, v)) std::exit(2);
+    ++i;
+    return static_cast<unsigned>(v);
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc)
-      opts.clients = static_cast<unsigned>(std::atoi(argv[++i]));
+      opts.clients = value(i, 1, 4096);
     else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-      opts.reps = static_cast<unsigned>(std::atoi(argv[++i]));
+      opts.reps = value(i, 1, ~std::uint32_t{0});
     else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc)
-      opts.workers = static_cast<unsigned>(std::atoi(argv[++i]));
+      opts.workers = value(i, 0, 4096);  // the daemon's --workers limit
     else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
       opts.out = argv[++i];
     else {
@@ -66,10 +73,6 @@ Options parse_args(int argc, char** argv) {
                 << " [--clients N] [--reps N] [--workers N] [--out file.json]\n";
       std::exit(2);
     }
-  }
-  if (opts.clients == 0 || opts.reps == 0) {
-    std::cerr << argv[0] << ": --clients and --reps must be positive\n";
-    std::exit(2);
   }
   return opts;
 }

@@ -56,21 +56,24 @@ struct Options {
 Options parse_args(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-      opts.reps = static_cast<unsigned>(std::atoi(argv[++i]));
-    else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc)
-      opts.seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
+    std::uint64_t v = 0;
+    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
+      if (!parse_flag_u64(argv[i], argv[i + 1], 1, ~std::uint32_t{0}, v))
+        std::exit(2);
+      opts.reps = static_cast<unsigned>(v);
+      ++i;
+    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
+      if (!parse_flag_u64(argv[i], argv[i + 1], 0, ~std::uint64_t{0}, v))
+        std::exit(2);
+      opts.seed = v;
+      ++i;
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       opts.out = argv[++i];
-    else {
+    } else {
       std::cerr << "usage: " << argv[0]
                 << " [--reps N] [--seed N] [--out file.json]\n";
       std::exit(2);
     }
-  }
-  if (opts.reps == 0) {
-    std::cerr << argv[0] << ": --reps must be positive\n";
-    std::exit(2);
   }
   return opts;
 }

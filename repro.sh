@@ -176,7 +176,7 @@ serve_cmp() {
 }
 
 if [ "$QUICK" = "1" ]; then
-    STCACHE_BIG_TRACE_RECORDS=2000000 ctest --test-dir build -R 'ThreadPool|SweepRunner|ShardedSweep|Fault|TraceIo|MmapTrace|ReplayEquivalence|StackSweep|FastCpu|Workload|Spsc|Stream|BankAccumulator|PackedTraceIo|Crc32|ChunkPool|ShardQueue|Serving|Wire|Phase|Heuristic|Exhaustive|ParamOrders|AscendingCandidates|TraceEvaluator|ScaledEvaluator|ScaledSpace|ScaledTune|TwoLevel|TunerFsmdTest|TunerStepperTest|SearchLayer' --output-on-failure
+    STCACHE_BIG_TRACE_RECORDS=2000000 ctest --test-dir build -R 'ThreadPool|SweepRunner|ShardedSweep|Fault|TraceIo|MmapTrace|ReplayEquivalence|StackSweep|FastCpu|Workload|Spsc|Stream|BankAccumulator|PackedTraceIo|Crc32|ChunkPool|ShardQueue|Serving|Wire|Phase|Heuristic|Exhaustive|ParamOrders|AscendingCandidates|TraceEvaluator|ScaledEvaluator|ScaledSpace|ScaledTune|TwoLevel|TunerFsmdTest|TunerStepperTest|SearchLayer|_rejects_bad_flags' --output-on-failure
 
     # Determinism gate: the parallel sweep must reproduce the serial table
     # byte for byte (metrics go to stderr, so stdout is comparable).

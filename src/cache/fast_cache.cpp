@@ -1,20 +1,15 @@
 #include "cache/fast_cache.hpp"
 
+#include "cache/packed.hpp"
 #include "util/error.hpp"
 
 namespace stcache {
 
-FastCacheSim::FastCacheSim(const CacheConfig& config, TimingParams timing,
-                           WritePolicy write_policy,
-                           std::uint32_t victim_entries)
-    : config_(config), timing_(timing), write_policy_(write_policy) {
+FastCacheSim::FastCacheSim(const CacheConfig& config, TimingParams timing)
+    : config_(config), timing_(timing) {
   if (!config_.valid()) {
     fail("FastCacheSim: invalid configuration " + config.name());
   }
-  if (victim_entries > kMaxVictimEntries) {
-    fail("FastCacheSim: victim buffer larger than 64 entries is not a victim buffer");
-  }
-  victim_n_ = victim_entries;
   set_mask_ = config_.num_sets() - 1;
   way_stride_ = config_.banks_per_way() * kRowsPerBank;
   sublines_ = config_.sublines_per_line();
@@ -38,62 +33,10 @@ std::uint32_t FastCacheSim::pick_victim_way(const std::uint32_t* slots) const {
   return victim_way;
 }
 
-void FastCacheSim::victim_insert_slot(std::uint32_t slot) {
-  if (victim_n_ == 0 || !slot_valid(slot)) return;
-  // First invalid entry, else the LRU one (earliest index wins ties),
-  // exactly as ConfigurableCache::victim_insert scans.
-  std::uint32_t dst = 0;
-  for (std::uint32_t i = 0; i < victim_n_; ++i) {
-    if (!((vvalid_ >> i) & 1u)) {
-      dst = i;
-      break;
-    }
-    if (vlast_[i] < vlast_[dst]) dst = i;
-  }
-  const std::uint64_t m = std::uint64_t{1} << dst;
-  if ((vvalid_ & m) && (vdirty_ & m)) {
-    stats_.writeback_bytes += kPhysicalLineBytes;
-  }
-  vblock_[dst] = block_[slot];
-  vlast_[dst] = last_use_[slot];
-  vvalid_ |= m;
-  if (dirty_bit(slot)) vdirty_ |= m;
-  else vdirty_ &= ~m;
-}
-
-template <unsigned W, bool PRED, bool VICT, bool WT>
-std::uint32_t FastCacheSim::miss_path(std::uint32_t block, std::uint32_t set,
+template <unsigned W, bool PRED>
+std::uint32_t FastCacheSim::miss_path(std::uint32_t block,
                                       const std::uint32_t* slots,
                                       bool is_write) {
-  if constexpr (VICT) {
-    ++stats_.victim_probes;
-    // victim_take: first valid matching entry, removed on hit.
-    std::uint32_t vi = victim_n_;
-    for (std::uint32_t i = 0; i < victim_n_; ++i) {
-      if (((vvalid_ >> i) & 1u) && vblock_[i] == block) {
-        vi = i;
-        break;
-      }
-    }
-    if (vi != victim_n_) {
-      const std::uint64_t vm = std::uint64_t{1} << vi;
-      const bool rdirty = (vdirty_ & vm) != 0;
-      vvalid_ &= ~vm;
-      vdirty_ &= ~vm;
-      // Swap with the main array: displaced line retires to the buffer,
-      // the rescued line fills the normally chosen victim way.
-      const std::uint32_t victim_way = pick_victim_way<W>(slots);
-      const std::uint32_t s = slots[victim_way];
-      victim_insert_slot(s);
-      block_[s] = block;
-      last_use_[s] = tick_;
-      set_dirty(s, rdirty || is_write);
-      if constexpr (PRED) mru_way_[set] = static_cast<std::uint8_t>(victim_way);
-      ++stats_.victim_hits;
-      return timing_.victim_hit_penalty;
-    }
-  }
-
   ++stats_.misses;
   // Line concatenation: fill every absent 16 B subline of the aligned
   // logical line into the way chosen at the accessed subline's set.
@@ -111,9 +54,7 @@ std::uint32_t FastCacheSim::miss_path(std::uint32_t block, std::uint32_t set,
     }
     if (present) continue;
     const std::uint32_t ss = victim_way * way_stride_ + sub_set;
-    if constexpr (VICT) {
-      victim_insert_slot(ss);
-    } else if (slot_valid(ss) && dirty_bit(ss)) {
+    if (slot_valid(ss) && dirty_bit(ss)) {
       stats_.writeback_bytes += kPhysicalLineBytes;
     }
     block_[ss] = sub_block;
@@ -124,24 +65,23 @@ std::uint32_t FastCacheSim::miss_path(std::uint32_t block, std::uint32_t set,
   }
   const std::uint32_t as = slots[victim_way];
   STC_ASSERT(block_[as] == block, "fast fill did not install the accessed block");
-  set_dirty(as, is_write && !WT);
+  set_dirty(as, is_write);
   last_use_[as] = tick_;
   return miss_stall_;
 }
 
-template <unsigned W, bool PRED, bool VICT, bool WT>
+template <unsigned W, bool PRED>
 void FastCacheSim::run(std::span<const std::uint32_t> packed) {
   // Hot-loop state lives in locals: the compiler cannot keep member
   // counters in registers across the loop because stores through the line
   // arrays might alias them. The invariant cycles = accesses * hit_cycles
   // + stall_cycles (every path charges hit_cycles plus exactly its stall)
-  // and write_through_bytes = 4 * writes let most counters be derived once
-  // at loop exit instead of updated per record.
+  // lets most counters be derived once at loop exit instead of updated
+  // per record.
   std::uint64_t tick = tick_;
   std::uint64_t writes = 0;
   std::uint64_t hits = 0;
   std::uint64_t stall = 0;
-  std::uint64_t wt_store_misses = 0;
   std::uint64_t pred_first = 0;
   std::uint64_t pred_mispred = 0;
   const std::uint32_t set_mask = set_mask_;
@@ -172,7 +112,7 @@ void FastCacheSim::run(std::span<const std::uint32_t> packed) {
       ++hits;
       const std::uint32_t s = slots[hit_way];
       last_use_[s] = tick;
-      if (!WT && is_write) set_dirty(s, true);
+      if (is_write) set_dirty(s, true);
       if constexpr (PRED) {
         if (hit_way == mru_way_[set]) {
           ++pred_first;
@@ -182,12 +122,9 @@ void FastCacheSim::run(std::span<const std::uint32_t> packed) {
         }
         mru_way_[set] = static_cast<std::uint8_t>(hit_way);
       }
-    } else if (WT && is_write) {
-      // No-write-allocate store miss: straight to the write buffer.
-      ++wt_store_misses;
     } else {
       tick_ = tick;  // cold path reads the member
-      stall += miss_path<W, PRED, VICT, WT>(block, set, slots, is_write);
+      stall += miss_path<W, PRED>(block, slots, is_write);
     }
   }
 
@@ -199,10 +136,6 @@ void FastCacheSim::run(std::span<const std::uint32_t> packed) {
   stats_.hits += hits;
   stats_.stall_cycles += stall;
   stats_.cycles += n * timing_.hit_cycles + stall;
-  if constexpr (WT) {
-    stats_.write_through_bytes += 4 * writes;
-    stats_.wt_store_misses += wt_store_misses;
-  }
   if constexpr (PRED) {
     stats_.pred_accesses += n;
     stats_.pred_first_hits += pred_first;
@@ -211,31 +144,19 @@ void FastCacheSim::run(std::span<const std::uint32_t> packed) {
 }
 
 void FastCacheSim::replay(std::span<const std::uint32_t> packed) {
-  const bool pred = config_.way_prediction && config_.ways() > 1;
-  const bool vict = victim_n_ > 0;
-  const bool wt = write_policy_ == WritePolicy::kWriteThrough;
-
   // One dispatch per replay; the record loop itself is branch-specialized.
-  auto dispatch = [&]<unsigned W, bool PRED>() {
-    if (vict) {
-      if (wt) run<W, PRED, true, true>(packed);
-      else run<W, PRED, true, false>(packed);
-    } else {
-      if (wt) run<W, PRED, false, true>(packed);
-      else run<W, PRED, false, false>(packed);
-    }
-  };
+  const bool pred = config_.way_prediction;
   switch (config_.ways()) {
     case 1:
-      dispatch.template operator()<1, false>();
+      run<1, false>(packed);
       break;
     case 2:
-      if (pred) dispatch.template operator()<2, true>();
-      else dispatch.template operator()<2, false>();
+      if (pred) run<2, true>(packed);
+      else run<2, false>(packed);
       break;
     case 4:
-      if (pred) dispatch.template operator()<4, true>();
-      else dispatch.template operator()<4, false>();
+      if (pred) run<4, true>(packed);
+      else run<4, false>(packed);
       break;
     default:
       fail("FastCacheSim: unsupported associativity");

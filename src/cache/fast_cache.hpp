@@ -7,11 +7,12 @@
 // shape for a model that must also reconfigure mid-stream, but every
 // full-space experiment replays *cold caches under a fixed configuration*,
 // where all of that work is loop-invariant. FastCacheSim specializes for
-// exactly that case:
+// exactly that case, in the one organization a bank measures: write-back
+// write-allocate, no victim buffer.
 //
-//  * SoA line store: one contiguous block[] / last_use[] pair plus packed
-//    valid/dirty bitmaps, sized to the full 4-bank array but indexed only
-//    over the powered banks. A candidate slot is
+//  * SoA line store: one contiguous block[] / last_use[] pair plus a packed
+//    dirty bitmap, sized to the full 4-bank array but indexed only over
+//    the powered banks. A candidate slot is
 //        slot = way * way_stride + (block & set_mask)
 //    because row + 128*group == index (see candidate() in the reference),
 //    so the per-way mapping collapses to one multiply-add on cached
@@ -20,9 +21,8 @@
 //    and the miss stall are computed once in the constructor, never per
 //    access.
 //  * Compile-time specialization: the access loop is instantiated over
-//    (ways in {1,2,4}, way_prediction, victim buffer, write policy) and
-//    dispatched once per replay, so the per-record path has no
-//    configuration branches.
+//    (ways in {1,2,4}, way_prediction) — five loops — and dispatched once
+//    per replay, so the per-record path has no configuration branches.
 //  * MRU-way memo: predict_way() in the reference rescans the set to find
 //    the MRU valid way. Under a fixed configuration a main-array line,
 //    once valid, stays valid, and each set sees at most one last_use
@@ -30,10 +30,11 @@
 //    of the last update — a one-byte memo per set replaces the scan.
 //
 // The engine is equivalence-tested against the reference: CacheStats must
-// be bit-identical for all 27 configurations, both write policies, victim
-// buffer on/off (tests/replay_equivalence_test.cpp). It deliberately does
-// NOT support reconfigure()/flush() or warm-state replay; use the
-// reference model for tuning-controller style interval simulation.
+// be bit-identical for all 27 configurations (tests/replay_equivalence_
+// test.cpp). It deliberately does NOT support write-through, victim
+// buffers, reconfigure()/flush() or warm-state replay; the write-policy and
+// victim-buffer ablations and interval-simulation paths (the tuning
+// controller) use the reference model.
 #pragma once
 
 #include <array>
@@ -41,25 +42,16 @@
 #include <span>
 
 #include "cache/config.hpp"
-#include "cache/configurable_cache.hpp"
 #include "cache/stats.hpp"
 
 namespace stcache {
 
 class FastCacheSim {
  public:
-  // Packed replay record: bit 31 = write, bits 30..0 = 16 B block number
-  // (byte address >> 4; 28 significant bits). The packing is done once per
-  // stream (trace/replay.cpp) and shared by every cache in a bank sweep.
-  static constexpr std::uint32_t kPackedWriteBit = 0x8000'0000u;
-  static constexpr std::uint32_t kPackedBlockMask = 0x7FFF'FFFFu;
+  explicit FastCacheSim(const CacheConfig& config, TimingParams timing = {});
 
-  explicit FastCacheSim(const CacheConfig& config, TimingParams timing = {},
-                        WritePolicy write_policy = WritePolicy::kWriteBack,
-                        std::uint32_t victim_entries = 0);
-
-  // Replay a packed stream (state and stats accumulate across calls).
-  // Dispatches once to the (ways, prediction, victim, write-policy)
+  // Replay a packed stream (cache/packed.hpp; state and stats accumulate
+  // across calls). Dispatches once to the (ways, prediction)
   // specialization matching this configuration.
   void replay(std::span<const std::uint32_t> packed);
 
@@ -69,26 +61,22 @@ class FastCacheSim {
  private:
   static constexpr std::uint32_t kSlots = kNumBanks * kRowsPerBank;  // 512
   static constexpr std::uint32_t kMaxSets = 512;  // 8 KB direct-mapped
-  static constexpr std::uint32_t kMaxVictimEntries = 64;
   // Sentinel stored in block_[] for invalid slots: real block numbers are
   // 28-bit (addr >> 4), so the probe needs no separate valid bitmap — a
   // single load+compare per way decides hit AND validity.
   static constexpr std::uint32_t kInvalidBlock = 0xFFFF'FFFFu;
 
-  template <unsigned W, bool PRED, bool VICT, bool WT>
+  template <unsigned W, bool PRED>
   void run(std::span<const std::uint32_t> packed);
-  // Cold path (victim-buffer swap or miss fill); returns the stall cycles
-  // it charged, which run() folds into cycles/stall_cycles.
-  template <unsigned W, bool PRED, bool VICT, bool WT>
-  std::uint32_t miss_path(std::uint32_t block, std::uint32_t set,
-                          const std::uint32_t* slots, bool is_write);
+  // Cold path (miss fill); returns the stall cycles it charged, which
+  // run() folds into cycles/stall_cycles.
+  template <unsigned W, bool PRED>
+  std::uint32_t miss_path(std::uint32_t block, const std::uint32_t* slots,
+                          bool is_write);
   // Reference victim choice on the probed slots: first invalid way, else
   // LRU (earliest way wins ties, which cannot arise under distinct ticks).
   template <unsigned W>
   std::uint32_t pick_victim_way(const std::uint32_t* slots) const;
-  // Retire the main-array line at `slot` into the victim buffer
-  // (victim_insert semantics of the reference model).
-  void victim_insert_slot(std::uint32_t slot);
 
   bool slot_valid(std::uint32_t i) const { return block_[i] != kInvalidBlock; }
   bool dirty_bit(std::uint32_t i) const {
@@ -106,13 +94,6 @@ class FastCacheSim {
   std::array<std::uint64_t, kSlots / 64> dirty_{};
   std::array<std::uint8_t, kMaxSets> mru_way_{};  // per-set MRU memo
 
-  // --- victim buffer (SoA, <= 64 entries) ---------------------------------
-  std::array<std::uint32_t, kMaxVictimEntries> vblock_{};
-  std::array<std::uint64_t, kMaxVictimEntries> vlast_{};
-  std::uint64_t vvalid_ = 0;
-  std::uint64_t vdirty_ = 0;
-  std::uint32_t victim_n_ = 0;
-
   // --- precomputed per-configuration constants ----------------------------
   std::uint32_t set_mask_ = 0;    // num_sets - 1
   std::uint32_t way_stride_ = 0;  // banks_per_way * kRowsPerBank
@@ -121,7 +102,6 @@ class FastCacheSim {
 
   CacheConfig config_;
   TimingParams timing_;
-  WritePolicy write_policy_ = WritePolicy::kWriteBack;
   CacheStats stats_;
   std::uint64_t tick_ = 0;
 };

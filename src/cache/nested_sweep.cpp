@@ -5,16 +5,12 @@
 #include <cstring>
 #include <map>
 
+#include "cache/packed.hpp"
 #include "util/error.hpp"
 
 namespace stcache {
 
 namespace {
-
-// Packed-record layout, shared with FastCacheSim/StackSweepSim
-// (trace/replay.hpp pack_stream).
-constexpr std::uint32_t kWriteBit = 0x8000'0000u;
-constexpr std::uint32_t kBlockMask = 0x7FFF'FFFFu;
 
 void check_geometry(const CacheGeometry& g) {
   if (!g.valid()) {
@@ -28,71 +24,6 @@ void check_geometry(const CacheGeometry& g) {
 }
 
 }  // namespace
-
-// --- FastGeomSim -------------------------------------------------------------
-
-FastGeomSim::FastGeomSim(const CacheGeometry& g, TimingParams timing)
-    : geometry_(g), timing_(timing) {
-  check_geometry(g);
-  line_log_ = static_cast<std::uint32_t>(std::countr_zero(g.line_bytes)) - 4;
-  set_mask_ = g.num_sets() - 1;
-  ways_ = g.assoc;
-  const std::size_t slots = static_cast<std::size_t>(g.num_sets()) * ways_;
-  line_.assign(slots, kInvalidLine);
-  last_.assign(slots, 0);
-  dirty_.assign(slots, 0);
-}
-
-void FastGeomSim::replay(std::span<const std::uint32_t> packed) {
-  const std::uint32_t W = ways_;
-  for (const std::uint32_t word : packed) {
-    const std::uint32_t is_write = word >> 31;
-    const std::uint32_t line = (word & kBlockMask) >> line_log_;
-    const std::size_t base =
-        static_cast<std::size_t>(line & set_mask_) * W;
-    std::uint32_t* const blk = &line_[base];
-    std::uint64_t* const lu = &last_[base];
-    ++tick_;
-    ++n_;
-    writes_ += is_write;
-    std::uint32_t w = 0;
-    while (w < W && blk[w] != line) ++w;
-    if (w < W) {
-      ++hits_;
-      lu[w] = tick_;
-      dirty_[base + w] |= static_cast<std::uint8_t>(is_write);
-      continue;
-    }
-    // Victim: first invalid way (last-use 0), else true LRU — one min scan,
-    // since every valid tick is >= 1 and strict < keeps the first minimum,
-    // exactly CacheModel's first-invalid-else-LRU choice.
-    std::uint32_t v = 0;
-    for (std::uint32_t i = 1; i < W; ++i) {
-      if (lu[i] < lu[v]) v = i;
-    }
-    wb_lines_ += (lu[v] != 0) & dirty_[base + v];
-    blk[v] = line;
-    lu[v] = tick_;
-    dirty_[base + v] = static_cast<std::uint8_t>(is_write);
-  }
-}
-
-CacheStats FastGeomSim::stats() const {
-  CacheStats s;
-  s.accesses = n_;
-  s.write_accesses = writes_;
-  s.read_accesses = n_ - writes_;
-  s.hits = hits_;
-  s.misses = n_ - hits_;
-  s.fill_bytes = s.misses * geometry_.line_bytes;
-  s.writeback_bytes = wb_lines_ * geometry_.line_bytes;
-  const std::uint32_t stall = timing_.miss_stall_cycles(geometry_.line_bytes);
-  s.stall_cycles = s.misses * stall;
-  s.cycles = n_ * timing_.hit_cycles + s.stall_cycles;
-  return s;
-}
-
-// --- NestedSweepSim ----------------------------------------------------------
 
 NestedSweepSim::NestedSweepSim(std::span<const CacheGeometry> geoms,
                                TimingParams timing)
@@ -175,8 +106,8 @@ void NestedSweepSim::replay(std::span<const std::uint32_t> packed) {
     fail("NestedSweepSim: stream exceeds the 32-bit tick budget");
   }
   for (const std::uint32_t word : packed) {
-    const bool is_write = (word & kWriteBit) != 0;
-    const std::uint32_t line = (word & kBlockMask) >> line_log_;
+    const bool is_write = (word & kPackedWriteBit) != 0;
+    const std::uint32_t line = (word & kPackedBlockMask) >> line_log_;
     const std::uint32_t g = line & gmask_;
     ++tick_;
     ++n_;

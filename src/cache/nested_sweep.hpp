@@ -1,5 +1,5 @@
 // Generalized oneshot stack-distance sweep over an arbitrary nested-mask
-// size family, plus the runtime-parameterized fast engine it falls back to.
+// size family: the one kernel a geometry bank runs.
 //
 // StackSweepSim (stack_sweep.hpp) evaluates the paper's 27-configuration
 // platform in one traversal per line size, but its slot layout — the
@@ -53,13 +53,16 @@
 // and tests/stack_sweep_test.cpp enforce this against the unbounded LRU
 // oracle and the other engines.
 //
-// What falls OUTSIDE this kernel (the fallback matrix, see
-// docs/performance.md §6): sub-16 B lines (a packed word is a 16 B block,
-// the stream granularity), mixed line sizes in one traversal (the bank
-// layer groups by line-size family), singleton families (nothing shared
-// to amortize — FastGeomSim costs less), and any non-LRU/write-through/
-// victim-buffered organization (those exist only in the platform
-// CacheConfig world, which keeps its own engines).
+// A lone geometry is a one-member family: one level of one maximal
+// simulation, at about the cost of a per-geometry sim (docs/performance.md
+// §3.1), so the bank runs every geometry group here. What falls OUTSIDE
+// this kernel (docs/performance.md §3.1, §6): sub-16 B lines (a packed
+// word is a 16 B block, the stream granularity), more than 64 ways (the
+// dirty masks are 64-bit), more than 2^32 - 1 words per stream (ticks are
+// 32-bit), mixed line sizes in one traversal (the bank layer groups by
+// line-size family), and any non-LRU/write-through/victim-buffered
+// organization (those exist only in the platform CacheConfig world, which
+// keeps its own engines).
 #pragma once
 
 #include <cstdint>
@@ -70,39 +73,6 @@
 #include "cache/stats.hpp"
 
 namespace stcache {
-
-// Throughput twin of CacheModel for cold fixed-geometry replay of packed
-// streams: SoA line store, precomputed mapping constants, no per-access
-// allocation. Runtime-parameterized (the scaled spaces are not a closed
-// enum like the platform's CacheConfig, so compile-time specialization is
-// off the table) but still several times the reference throughput.
-// Requires line_bytes >= 16: packed words carry 16 B block numbers.
-class FastGeomSim {
- public:
-  explicit FastGeomSim(const CacheGeometry& g, TimingParams timing = {});
-
-  // Replay a packed stream (state and stats accumulate across calls).
-  void replay(std::span<const std::uint32_t> packed);
-
-  CacheStats stats() const;
-  const CacheGeometry& geometry() const { return geometry_; }
-
- private:
-  // Real line numbers are at most 2^31 - 1 >> line_log_, so the sentinel
-  // doubles as the valid bit: a probe is one load+compare per way.
-  static constexpr std::uint32_t kInvalidLine = 0xFFFF'FFFFu;
-
-  CacheGeometry geometry_;
-  TimingParams timing_;
-  std::uint32_t line_log_ = 0;  // log2(line_bytes / 16)
-  std::uint32_t set_mask_ = 0;
-  std::uint32_t ways_ = 1;
-  std::vector<std::uint32_t> line_;   // [set * ways + way]
-  std::vector<std::uint64_t> last_;   // last-use tick; 0 = invalid way
-  std::vector<std::uint8_t> dirty_;
-  std::uint64_t tick_ = 0;
-  std::uint64_t n_ = 0, writes_ = 0, hits_ = 0, wb_lines_ = 0;
-};
 
 class NestedSweepSim {
  public:
@@ -126,8 +96,6 @@ class NestedSweepSim {
   std::vector<CacheStats> stats(std::span<const CacheGeometry> geoms) const;
   // One geometry (tests).
   CacheStats stats(const CacheGeometry& g) const;
-
-  std::uint32_t num_levels() const { return nlev_; }
 
  private:
   struct Level {

@@ -1,7 +1,6 @@
 #include "cache/stack_sweep.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
 
 #include "cache/stack_sweep_kernel.hpp"
@@ -16,14 +15,8 @@ using sweep_detail::kNumSlots;
 using sweep_detail::kSlotPredBit;
 using sweep_detail::slot_of;
 
-// -1: follow the STCACHE_SIMD environment variable (default on);
-//  0 / 1: forced by set_stack_sweep_simd().
-std::atomic<int> g_simd_override{-1};
-
-bool simd_env_enabled() {
-  const char* v = std::getenv("STCACHE_SIMD");
-  return v == nullptr || std::string(v) != "0";
-}
+// On by default; set_stack_sweep_simd() switches it.
+std::atomic<bool> g_simd_on{true};
 
 bool cpu_has_avx2() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -41,14 +34,12 @@ bool stack_sweep_simd_available() {
 }
 
 bool stack_sweep_simd_enabled() {
-  if (!stack_sweep_simd_available()) return false;
-  const int ovr = g_simd_override.load(std::memory_order_relaxed);
-  if (ovr >= 0) return ovr != 0;
-  return simd_env_enabled();
+  return stack_sweep_simd_available() &&
+         g_simd_on.load(std::memory_order_relaxed);
 }
 
 void set_stack_sweep_simd(bool on) {
-  g_simd_override.store(on ? 1 : 0, std::memory_order_relaxed);
+  g_simd_on.store(on, std::memory_order_relaxed);
 }
 
 StackSweepSim::StackSweepSim(std::span<const CacheConfig> configs,
@@ -94,8 +85,6 @@ void StackSweepSim::replay(std::span<const std::uint32_t> packed) {
 }
 
 std::uint32_t StackSweepSim::line_bytes() const { return impl_->line_bytes; }
-
-bool StackSweepSim::simd() const { return impl_->simd; }
 
 CacheStats StackSweepSim::stats(const CacheConfig& cfg) const {
   if (cfg.line_bytes() != impl_->line_bytes) {

@@ -82,10 +82,9 @@
 // (stack_sweep_simd.cpp, built with -mavx2 when the toolchain supports it)
 // and selected per-sim at construction when the running CPU reports AVX2.
 // The scalar kernel stays the portable fallback and the differential
-// suites run both flavors; STCACHE_SIMD=0 in the environment or
-// set_stack_sweep_simd(false) forces scalar. Both flavors produce
-// bit-identical CacheStats by construction — the SIMD lanes only
-// restructure the probe/scan, never the update order.
+// suites run both flavors; set_stack_sweep_simd(false) forces scalar.
+// Both flavors produce bit-identical CacheStats by construction — the SIMD
+// lanes only restructure the probe/scan, never the update order.
 #pragma once
 
 #include <cstdint>
@@ -100,8 +99,8 @@ namespace stcache {
 
 // True when an AVX2 kernel was compiled in AND the running CPU supports it.
 bool stack_sweep_simd_available();
-// available() && not disabled (STCACHE_SIMD=0 or set_stack_sweep_simd(false)).
-// Sampled once per StackSweepSim at construction.
+// available() && not switched off by set_stack_sweep_simd(false). Sampled
+// once per StackSweepSim at construction.
 bool stack_sweep_simd_enabled();
 // Force the SIMD path on/off for subsequently constructed sims (clamped to
 // availability). The differential tests and bench_replay_throughput use
@@ -120,8 +119,8 @@ class StackSweepSim {
   StackSweepSim(StackSweepSim&&) noexcept;
   StackSweepSim& operator=(StackSweepSim&&) noexcept;
 
-  // Replay a packed stream (FastCacheSim encoding: bit 31 = write, bits
-  // 30..0 = 16 B block number). State and stats accumulate across calls.
+  // Replay a packed stream (cache/packed.hpp: bit 31 = write, bits 30..0 =
+  // 16 B block number). State and stats accumulate across calls.
   void replay(std::span<const std::uint32_t> packed);
 
   // Stats for any configuration whose slot was activated by the
@@ -131,8 +130,6 @@ class StackSweepSim {
   std::vector<CacheStats> stats(std::span<const CacheConfig> configs) const;
 
   std::uint32_t line_bytes() const;
-  // True when this sim runs the AVX2 kernel (fixed at construction).
-  bool simd() const;
 
   // Implementation base; the kernel TUs derive one kernel per subline
   // count and SIMD flavor.

@@ -34,7 +34,7 @@
 #include <span>
 #include <vector>
 
-#include "cache/fast_cache.hpp"
+#include "cache/packed.hpp"
 #include "cache/stack_sweep.hpp"
 #include "util/error.hpp"
 
@@ -50,7 +50,6 @@ struct StackSweepSim::Impl {
   std::uint32_t line_bytes = 16;
   std::uint32_t active = 0;       // slot bits maintained by the traversal
   std::uint32_t pred_active = 0;  // pred bits (MRU memos) maintained
-  bool simd = false;              // which kernel flavor this is
   TimingParams timing{};
 
   std::uint64_t n = 0;       // records replayed
@@ -195,7 +194,6 @@ struct Kernel final : StackSweepSim::Impl {
   std::uint32_t fast_spread_ = 0;  // spread_[active]
 
   Kernel() {
-    simd = SIMD;
     last_block_.fill(kNoBlock);
     memo1_.fill(kNoBlock);
     memo2_.fill(kNoBlock);
@@ -227,7 +225,7 @@ struct Kernel final : StackSweepSim::Impl {
     const std::size_t size = packed.size();
     for (std::size_t i = 0; i < size; ++i) {
       const std::uint32_t rec = p[i];
-      const std::uint32_t block = rec & FastCacheSim::kPackedBlockMask;
+      const std::uint32_t block = rec & kPackedBlockMask;
       const std::uint32_t is_write = rec >> 31;
       ++tick_;
       writes += is_write;
@@ -280,7 +278,7 @@ struct Kernel final : StackSweepSim::Impl {
     // One segment of `len` identical records `rec`: classify the head,
     // bulk-apply the repeats.
     const auto segment = [&](std::uint32_t rec, std::uint32_t len) {
-      const std::uint32_t block = rec & FastCacheSim::kPackedBlockMask;
+      const std::uint32_t block = rec & kPackedBlockMask;
       const std::uint32_t is_write = rec >> 31;
       const std::uint32_t g = (block >> kLog) & kGroupMask;
       const std::uint32_t e = g * kStride + last_idx_[g];

@@ -4,6 +4,8 @@
 #include <bit>
 #include <cmath>
 
+#include "cache/packed.hpp"
+
 namespace stcache {
 
 void SignatureAccum::add(std::span<const std::uint32_t> words,
@@ -17,7 +19,7 @@ void SignatureAccum::add(std::span<const std::uint32_t> words,
   if (i < n && prev == kNoPrevBlock) {
     // First sample ever for this prev-chain: no predecessor to compare.
     const std::uint32_t w = p[i];
-    const std::uint32_t block = w & 0x7FFFFFFFu;
+    const std::uint32_t block = w & kPackedBlockMask;
     ++samples;
     writes += w >> 31;
     const std::uint32_t idx = (block * 0x9E3779B9u) >> 20;
@@ -27,7 +29,7 @@ void SignatureAccum::add(std::span<const std::uint32_t> words,
   }
   for (; i < n; i += kSampleStride) {
     const std::uint32_t w = p[i];
-    const std::uint32_t block = w & 0x7FFFFFFFu;
+    const std::uint32_t block = w & kPackedBlockMask;
     ++samples;
     writes += w >> 31;
     const std::uint32_t idx = (block * 0x9E3779B9u) >> 20;

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdio>
 
+#include "cache/packed.hpp"
 #include "util/error.hpp"
 
 namespace stcache {
@@ -342,7 +343,7 @@ RunResult FastCpu::run_impl(std::uint64_t max_instructions, PackedSink* sink) {
         const std::uint32_t addr = regs_[IN.b] + static_cast<std::uint32_t>(IN.imm);
         if (addr >= mem_size) oob_at(addr, slot + i);
         ++daccesses;
-        if constexpr (kCapture) *dw++ = addr >> 4;
+        if constexpr (kCapture) *dw++ = pack_word(addr, false);
         regs_[IN.a] = static_cast<std::uint32_t>(
             static_cast<std::int32_t>(static_cast<std::int8_t>(mem[addr])));
         regs_[0] = 0;
@@ -352,7 +353,7 @@ RunResult FastCpu::run_impl(std::uint64_t max_instructions, PackedSink* sink) {
         const std::uint32_t addr = regs_[IN.b] + static_cast<std::uint32_t>(IN.imm);
         if (addr >= mem_size) oob_at(addr, slot + i);
         ++daccesses;
-        if constexpr (kCapture) *dw++ = addr >> 4;
+        if constexpr (kCapture) *dw++ = pack_word(addr, false);
         regs_[IN.a] = mem[addr];
         regs_[0] = 0;
         NEXT();
@@ -362,7 +363,7 @@ RunResult FastCpu::run_impl(std::uint64_t max_instructions, PackedSink* sink) {
         if (addr % 2 != 0) trap_at("unaligned load", slot + i);
         if (addr >= mem_size) oob_at(addr, slot + i);
         ++daccesses;
-        if constexpr (kCapture) *dw++ = addr >> 4;
+        if constexpr (kCapture) *dw++ = pack_word(addr, false);
         const std::uint32_t v = static_cast<std::uint32_t>(mem[addr]) |
                                 (static_cast<std::uint32_t>(mem[addr + 1]) << 8);
         regs_[IN.a] = static_cast<std::uint32_t>(
@@ -375,7 +376,7 @@ RunResult FastCpu::run_impl(std::uint64_t max_instructions, PackedSink* sink) {
         if (addr % 2 != 0) trap_at("unaligned load", slot + i);
         if (addr >= mem_size) oob_at(addr, slot + i);
         ++daccesses;
-        if constexpr (kCapture) *dw++ = addr >> 4;
+        if constexpr (kCapture) *dw++ = pack_word(addr, false);
         regs_[IN.a] = static_cast<std::uint32_t>(mem[addr]) |
                       (static_cast<std::uint32_t>(mem[addr + 1]) << 8);
         regs_[0] = 0;
@@ -386,7 +387,7 @@ RunResult FastCpu::run_impl(std::uint64_t max_instructions, PackedSink* sink) {
         if (addr % 4 != 0) trap_at("unaligned load", slot + i);
         if (addr >= mem_size) oob_at(addr, slot + i);
         ++daccesses;
-        if constexpr (kCapture) *dw++ = addr >> 4;
+        if constexpr (kCapture) *dw++ = pack_word(addr, false);
         regs_[IN.a] = static_cast<std::uint32_t>(mem[addr]) |
                       (static_cast<std::uint32_t>(mem[addr + 1]) << 8) |
                       (static_cast<std::uint32_t>(mem[addr + 2]) << 16) |
@@ -399,7 +400,7 @@ RunResult FastCpu::run_impl(std::uint64_t max_instructions, PackedSink* sink) {
         const std::uint32_t addr = regs_[IN.b] + static_cast<std::uint32_t>(IN.imm);
         if (addr >= mem_size) trap_at("store out of range", slot + i);
         ++daccesses;
-        if constexpr (kCapture) *dw++ = (addr >> 4) | 0x8000'0000u;
+        if constexpr (kCapture) *dw++ = pack_word(addr, true);
         mem[addr] = static_cast<std::uint8_t>(regs_[IN.a]);
         if (addr < text_end_) {
           smc_store(addr, 1);
@@ -413,7 +414,7 @@ RunResult FastCpu::run_impl(std::uint64_t max_instructions, PackedSink* sink) {
         if (addr % 2 != 0) trap_at("unaligned store", slot + i);
         if (addr > mem_size - 2) trap_at("store out of range", slot + i);
         ++daccesses;
-        if constexpr (kCapture) *dw++ = (addr >> 4) | 0x8000'0000u;
+        if constexpr (kCapture) *dw++ = pack_word(addr, true);
         const std::uint32_t v = regs_[IN.a];
         mem[addr] = static_cast<std::uint8_t>(v);
         mem[addr + 1] = static_cast<std::uint8_t>(v >> 8);
@@ -429,7 +430,7 @@ RunResult FastCpu::run_impl(std::uint64_t max_instructions, PackedSink* sink) {
         if (addr % 4 != 0) trap_at("unaligned store", slot + i);
         if (addr > mem_size - 4) trap_at("store out of range", slot + i);
         ++daccesses;
-        if constexpr (kCapture) *dw++ = (addr >> 4) | 0x8000'0000u;
+        if constexpr (kCapture) *dw++ = pack_word(addr, true);
         const std::uint32_t v = regs_[IN.a];
         mem[addr] = static_cast<std::uint8_t>(v);
         mem[addr + 1] = static_cast<std::uint8_t>(v >> 8);

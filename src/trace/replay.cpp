@@ -4,9 +4,11 @@
 #include <atomic>
 #include <exception>
 #include <future>
+#include <type_traits>
 
 #include "cache/fast_cache.hpp"
 #include "cache/nested_sweep.hpp"
+#include "cache/packed.hpp"
 #include "cache/stack_sweep.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -21,23 +23,14 @@ std::atomic<unsigned> g_sweep_jobs{1};
 
 unsigned clamp_jobs(unsigned v) { return std::clamp(v, 1u, kMaxSweepJobs); }
 
-// The two bank kinds differ only in these: the line size and the kernels
-// that run a line-size group (sweep) or a singleton (fast).
+// The two bank kinds differ only in these: the line size and the kernel
+// that runs a line-size group.
 std::uint32_t line_bytes_of(const CacheConfig& c) { return c.line_bytes(); }
 std::uint32_t line_bytes_of(const CacheGeometry& g) { return g.line_bytes; }
 
 template <typename Desc>
-struct Kernels;
-template <>
-struct Kernels<CacheConfig> {
-  using Sweep = StackSweepSim;
-  using Fast = FastCacheSim;
-};
-template <>
-struct Kernels<CacheGeometry> {
-  using Sweep = NestedSweepSim;
-  using Fast = FastGeomSim;
-};
+using SweepKernel = std::conditional_t<std::is_same_v<Desc, CacheConfig>,
+                                       StackSweepSim, NestedSweepSim>;
 
 }  // namespace
 
@@ -55,7 +48,8 @@ class BankGroup {
 
 namespace {
 
-// Two or more configurations of one line size: one traversal.
+// The configurations of one line size (two or more on the platform): one
+// traversal.
 template <typename Desc>
 class SweepGroup final : public detail::BankGroup {
  public:
@@ -78,16 +72,19 @@ class SweepGroup final : public detail::BankGroup {
  private:
   std::vector<Desc> descs_;
   std::vector<std::size_t> where_;  // indices into the bank's stats
-  typename Kernels<Desc>::Sweep sim_;
+  SweepKernel<Desc> sim_;
 };
 
-// A line size with one configuration: a shared traversal buys nothing, so
-// it runs the per-configuration fast sim over every feed.
-template <typename Desc>
+// A line size with one platform configuration: StackSweepSim's pool layout
+// is fixed at the six slots of a line size, which makes a one-config
+// traversal 1.4-2.8x slower than the fast sim, so a lone config runs
+// FastCacheSim over every feed. (A lone geometry needs no such group: a
+// one-member NestedSweepSim costs about what a per-geometry sim would.)
 class FastGroup final : public detail::BankGroup {
  public:
-  FastGroup(const Desc& desc, std::size_t where, const TimingParams& timing)
-      : sim_(desc, timing), where_(where) {}
+  FastGroup(const CacheConfig& config, std::size_t where,
+            const TimingParams& timing)
+      : sim_(config, timing), where_(where) {}
 
   void replay(std::span<const std::uint32_t> packed) override {
     sim_.replay(packed);
@@ -98,7 +95,7 @@ class FastGroup final : public detail::BankGroup {
   }
 
  private:
-  typename Kernels<Desc>::Fast sim_;
+  FastCacheSim sim_;
   std::size_t where_;
 };
 
@@ -117,9 +114,7 @@ void pack_stream(std::span<const TraceRecord> stream,
   out.clear();
   out.reserve(stream.size());
   for (const TraceRecord& r : stream) {
-    out.push_back((r.addr >> 4) | (r.kind == AccessKind::kWrite
-                                       ? FastCacheSim::kPackedWriteBit
-                                       : 0u));
+    out.push_back(pack_word(r.addr, r.kind == AccessKind::kWrite));
   }
 }
 
@@ -155,13 +150,15 @@ void BankAccumulator::build(std::span<const Desc> descs,
         where.push_back(i);
       }
     }
-    if (group.size() == 1) {
-      groups_.push_back(std::make_unique<FastGroup<Desc>>(
-          group.front(), where.front(), timing));
-    } else {
-      groups_.push_back(std::make_unique<SweepGroup<Desc>>(
-          std::move(group), std::move(where), timing));
+    if constexpr (std::is_same_v<Desc, CacheConfig>) {
+      if (group.size() == 1) {
+        groups_.push_back(
+            std::make_unique<FastGroup>(group.front(), where.front(), timing));
+        continue;
+      }
     }
+    groups_.push_back(std::make_unique<SweepGroup<Desc>>(
+        std::move(group), std::move(where), timing));
   }
   if (sweep_jobs == 0) sweep_jobs = default_sweep_jobs();
   jobs_ = std::max(1u, std::min(clamp_jobs(sweep_jobs),
@@ -181,6 +178,10 @@ BankAccumulator::BankAccumulator(std::span<const CacheGeometry> geoms,
     if (!g.valid() || g.line_bytes < 16) {
       fail("BankAccumulator: geometry bank requires valid line_bytes >= 16 "
            "geometries (packed streams carry 16 B block numbers)");
+    }
+    if (g.assoc > 64) {
+      fail("BankAccumulator: geometry bank supports at most 64 ways "
+           "(NestedSweepSim's dirty masks are 64-bit)");
     }
   }
   build(geoms, timing, sweep_jobs);

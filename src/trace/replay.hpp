@@ -4,11 +4,13 @@
 // BankAccumulator is the one measurement primitive: it evaluates a bank of
 // configurations, each from a cold start, against a packed stream fed in
 // any number of in-order slices. A single configuration is a bank of one.
-// Per line size, a group of two or more configurations runs ONE single-pass
-// stack-distance traversal — StackSweepSim (cache/stack_sweep.hpp) for
-// platform CacheConfigs, NestedSweepSim (cache/nested_sweep.hpp) for
-// generic CacheGeometry banks — and a singleton runs the per-configuration
-// fast sim (FastCacheSim / FastGeomSim). Every kernel is bit-identical to
+// Per line size, the configurations run ONE single-pass stack-distance
+// traversal — NestedSweepSim (cache/nested_sweep.hpp) for every generic
+// CacheGeometry group, a lone geometry included, and StackSweepSim
+// (cache/stack_sweep.hpp) for two or more platform CacheConfigs — and a
+// lone platform config runs the fast sim (cache/fast_cache.hpp), because
+// StackSweepSim's fixed six-slot layout costs more than it shares there.
+// Every kernel is bit-identical to
 // the behavioral reference models (ConfigurableCache / CacheModel), which
 // stay the oracle: the differential suites (tests/replay_equivalence_test,
 // tests/stack_sweep_test, tests/sharded_sweep_test) replay the references
@@ -42,11 +44,11 @@ class BankGroup;  // one line-size group of a bank (trace/replay.cpp)
 unsigned default_sweep_jobs();
 void set_default_sweep_jobs(unsigned jobs);
 
-// Encode a record stream for BankAccumulator::feed (bit 31 = write, bits
-// 30..0 = 16 B block number). Done once per stream and shared by every
-// cache in a bank. The out-parameter overload reuses the buffer's
-// capacity. Packing discards the low 4 address bits, which no 16 B-or-wider
-// cache geometry inspects.
+// Encode a record stream for BankAccumulator::feed (cache/packed.hpp:
+// bit 31 = write, bits 30..0 = 16 B block number). Done once per stream and
+// shared by every cache in a bank. The out-parameter overload reuses the
+// buffer's capacity. Packing discards the low 4 address bits, which no
+// 16 B-or-wider cache geometry inspects.
 std::vector<std::uint32_t> pack_stream(std::span<const TraceRecord> stream);
 void pack_stream(std::span<const TraceRecord> stream,
                  std::vector<std::uint32_t>& out);
@@ -63,10 +65,12 @@ CacheStats replay(ConfigurableCache& cache, std::span<const TraceRecord> stream)
 // and stats()[i] is bit-identical to a cold reference replay of configs[i]
 // over the concatenation of everything fed.
 //
-// Grouping: configurations are grouped by line size (ascending). A group
-// of two or more runs one sweep traversal; a singleton runs the fast sim.
-// Geometry banks require valid geometries with line_bytes >= 16 (packed
-// words are 16 B blocks); the constructor throws stcache::Error otherwise.
+// Grouping: configurations are grouped by line size (ascending). A
+// geometry group runs one NestedSweepSim traversal; a platform group of
+// two or more runs one StackSweepSim traversal and a lone platform config
+// runs FastCacheSim. Geometry banks require valid geometries with
+// line_bytes >= 16 (packed words are 16 B blocks) and at most 64 ways;
+// the constructor throws stcache::Error otherwise.
 //
 // Threads: the line-size groups share no state, so with sweep_jobs > 1
 // each feed() replays the groups on min(sweep_jobs, groups) threads — the

@@ -6,7 +6,7 @@
 #include <numeric>
 #include <vector>
 
-#include "cache/fast_cache.hpp"
+#include "cache/packed.hpp"
 #include "util/error.hpp"
 
 namespace stcache {
@@ -186,9 +186,7 @@ std::vector<std::uint32_t> gen_parser_like_packed(const ParserLikeParams& p) {
                                            scan_fraction * kParserWriteProb *
                                            1.25));
   parser_like_walk(p, [&](std::uint32_t addr, AccessKind kind) {
-    words.push_back((addr >> 4) | (kind == AccessKind::kWrite
-                                       ? FastCacheSim::kPackedWriteBit
-                                       : 0u));
+    words.push_back(pack_word(addr, kind == AccessKind::kWrite));
   });
   return words;
 }

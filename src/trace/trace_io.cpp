@@ -16,6 +16,7 @@
 #include <ostream>
 #include <vector>
 
+#include "cache/packed.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/metrics.hpp"
@@ -121,13 +122,13 @@ void decode_split(const unsigned char* slice, std::uint64_t n,
                                (static_cast<std::uint32_t>(p[4]) << 24);
     switch (p[0]) {
       case static_cast<unsigned char>(AccessKind::kIFetch):
-        ifetch.push_back(addr >> 4);
+        ifetch.push_back(pack_word(addr, false));
         break;
       case static_cast<unsigned char>(AccessKind::kRead):
-        data.push_back(addr >> 4);
+        data.push_back(pack_word(addr, false));
         break;
       case static_cast<unsigned char>(AccessKind::kWrite):
-        data.push_back((addr >> 4) | 0x8000'0000u);
+        data.push_back(pack_word(addr, true));
         break;
       default:
         fail("trace read: invalid access kind " + std::to_string(p[0]));

@@ -1,6 +1,6 @@
 // Cold-start replays for the differential tests: the behavioral reference
 // models (ConfigurableCache / CacheModel — the oracle every kernel is
-// measured against), the per-configuration fast sims, and the
+// measured against), the platform's per-configuration fast sim, and the
 // BankAccumulator that every product path measures through.
 #pragma once
 
@@ -13,7 +13,7 @@
 #include "cache/config.hpp"
 #include "cache/configurable_cache.hpp"
 #include "cache/fast_cache.hpp"
-#include "cache/nested_sweep.hpp"
+#include "cache/packed.hpp"
 #include "trace/replay.hpp"
 #include "trace/trace.hpp"
 
@@ -22,11 +22,8 @@ namespace stcache {
 // A fresh reference cache over the raw records.
 inline CacheStats reference_stats(const CacheConfig& cfg,
                                   std::span<const TraceRecord> stream,
-                                  const TimingParams& timing = {},
-                                  WritePolicy write_policy =
-                                      WritePolicy::kWriteBack,
-                                  std::uint32_t victim_entries = 0) {
-  ConfigurableCache cache(cfg, timing, write_policy, victim_entries);
+                                  const TimingParams& timing = {}) {
+  ConfigurableCache cache(cfg, timing);
   return replay(cache, stream);
 }
 
@@ -48,8 +45,8 @@ inline CacheStats reference_stats(const CacheConfig& cfg,
                                   const TimingParams& timing = {}) {
   ConfigurableCache cache(cfg, timing);
   for (const std::uint32_t word : packed) {
-    cache.access((word & FastCacheSim::kPackedBlockMask) << 4,
-                 (word & FastCacheSim::kPackedWriteBit) != 0);
+    cache.access((word & kPackedBlockMask) << 4,
+                 (word & kPackedWriteBit) != 0);
   }
   return cache.stats();
 }
@@ -59,27 +56,17 @@ inline CacheStats reference_stats(const CacheGeometry& g,
                                   const TimingParams& timing = {}) {
   CacheModel cache(g, timing);
   for (const std::uint32_t word : packed) {
-    cache.access((word & FastCacheSim::kPackedBlockMask) << 4,
-                 (word & FastCacheSim::kPackedWriteBit) != 0);
+    cache.access((word & kPackedBlockMask) << 4,
+                 (word & kPackedWriteBit) != 0);
   }
   return cache.stats();
 }
 
-// The per-configuration fast sims over a packed stream.
+// The platform's per-configuration fast sim over a packed stream.
 inline CacheStats fast_stats(const CacheConfig& cfg,
                              std::span<const std::uint32_t> packed,
-                             const TimingParams& timing = {},
-                             WritePolicy write_policy = WritePolicy::kWriteBack,
-                             std::uint32_t victim_entries = 0) {
-  FastCacheSim sim(cfg, timing, write_policy, victim_entries);
-  sim.replay(packed);
-  return sim.stats();
-}
-
-inline CacheStats fast_stats(const CacheGeometry& g,
-                             std::span<const std::uint32_t> packed,
                              const TimingParams& timing = {}) {
-  FastGeomSim sim(g, timing);
+  FastCacheSim sim(cfg, timing);
   sim.replay(packed);
   return sim.stats();
 }

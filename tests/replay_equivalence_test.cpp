@@ -1,13 +1,15 @@
 // Differential equivalence suite for the replay kernels.
 //
-// The fast sims (cache/fast_cache.hpp, FastGeomSim) and the single-pass
-// sweep kernels (cache/stack_sweep.hpp, cache/nested_sweep.hpp) behind
+// The platform fast sim (cache/fast_cache.hpp) and the single-pass sweep
+// kernels (cache/stack_sweep.hpp, cache/nested_sweep.hpp) behind
 // BankAccumulator are only allowed to exist because they are bit-identical
-// to the behavioral references: for every legal configuration, both write
-// policies, and victim buffer on/off, replaying the same stream must
-// produce the exact same CacheStats — every counter, not just miss rates.
-// This is the guarantee that lets every figure bench measure through the
-// bank while the paper's numbers stay attributable to the reference model.
+// to the behavioral references: for every legal configuration and every
+// geometry of a scaled space, replaying the same stream must produce the
+// exact same CacheStats — every counter, not just miss rates. This is the
+// guarantee that lets every figure bench measure through the bank while
+// the paper's numbers stay attributable to the reference model.
+// (Write-through and victim buffers exist only on the reference model;
+// write_policy_test, victim_buffer_test and system_test cover them.)
 //
 // Streams: bounded prefixes of three real captured workloads (instruction
 // + data mix, so loads, stores, and fetches all appear) plus adversarial
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "cache/config.hpp"
+#include "cache/stack_sweep.hpp"
 #include "core/scaled_space.hpp"
 #include "reference_replay.hpp"
 #include "trace/replay.hpp"
@@ -76,22 +79,13 @@ const std::vector<std::pair<std::string, Trace>>& adversarial_streams() {
   return *streams;
 }
 
-// FastCacheSim against ConfigurableCache, per configuration, under both
-// write policies and victim buffer off/on.
+// FastCacheSim against ConfigurableCache, per configuration.
 void expect_identical(std::span<const TraceRecord> stream,
                       const std::string& stream_name) {
   const std::vector<std::uint32_t> packed = pack_stream(stream);
   for (const CacheConfig& cfg : all_configs()) {
-    for (const WritePolicy wp :
-         {WritePolicy::kWriteBack, WritePolicy::kWriteThrough}) {
-      for (const std::uint32_t victim_entries : {0u, 8u}) {
-        EXPECT_EQ(reference_stats(cfg, stream, {}, wp, victim_entries),
-                  fast_stats(cfg, packed, {}, wp, victim_entries))
-            << stream_name << " x " << cfg.name() << " wp="
-            << (wp == WritePolicy::kWriteBack ? "WB" : "WT")
-            << " victim=" << victim_entries;
-      }
-    }
+    EXPECT_EQ(reference_stats(cfg, stream), fast_stats(cfg, packed))
+        << stream_name << " x " << cfg.name();
   }
 }
 
@@ -126,32 +120,48 @@ TEST(ReplayEquivalence, CustomTiming) {
   const std::span<const TraceRecord> stream = workload_prefix("crc");
   const std::vector<std::uint32_t> packed = pack_stream(stream);
   for (const CacheConfig& cfg : all_configs()) {
-    EXPECT_EQ(reference_stats(cfg, stream, timing, WritePolicy::kWriteBack, 4),
-              fast_stats(cfg, packed, timing, WritePolicy::kWriteBack, 4))
+    EXPECT_EQ(reference_stats(cfg, stream, timing),
+              fast_stats(cfg, packed, timing))
         << "crc x " << cfg.name() << " custom timing";
   }
 }
 
+// Forces one StackSweepSim kernel flavor for the sims constructed in its
+// scope, then restores the default (AVX2 where the host has it).
+class SimdFlavor {
+ public:
+  explicit SimdFlavor(bool on) { set_stack_sweep_simd(on); }
+  ~SimdFlavor() { set_stack_sweep_simd(true); }
+};
+
 // The bank against per-configuration reference replay, fed whole on one
-// shard and in uneven chunks on four: every grouping (stack-sweep groups
-// and fast-sim singletons) and every feed shape must reproduce the
-// reference exactly.
+// thread and in uneven chunks on four, under both StackSweepSim kernels
+// (the scalar one is the only one on a host without AVX2): every grouping
+// (stack-sweep groups and fast-sim singletons), every feed shape and both
+// kernels must reproduce the reference exactly.
 void expect_bank_identical(std::span<const CacheConfig> configs,
                            std::span<const TraceRecord> stream,
                            const std::string& stream_name,
                            const TimingParams& timing = {}) {
   const std::vector<std::uint32_t> packed = pack_stream(stream);
-  const std::vector<CacheStats> serial =
-      feed_stats(BankAccumulator(configs, timing, 1), packed);
-  const std::vector<CacheStats> sharded =
-      feed_stats(BankAccumulator(configs, timing, 4), packed, 4097);
-  ASSERT_EQ(serial.size(), configs.size());
-  ASSERT_EQ(sharded.size(), configs.size());
-  for (std::size_t c = 0; c < configs.size(); ++c) {
-    const CacheStats ref = reference_stats(configs[c], stream, timing);
-    EXPECT_EQ(ref, serial[c]) << stream_name << " x " << configs[c].name();
-    EXPECT_EQ(ref, sharded[c])
-        << stream_name << " x " << configs[c].name() << " sharded, chunked";
+  std::vector<CacheStats> ref;
+  for (const CacheConfig& cfg : configs) {
+    ref.push_back(reference_stats(cfg, stream, timing));
+  }
+  for (const bool simd : {false, true}) {
+    const SimdFlavor flavor(simd);
+    const std::string kernel = simd ? " simd" : " scalar";
+    const std::vector<CacheStats> serial =
+        feed_stats(BankAccumulator(configs, timing, 1), packed);
+    const std::vector<CacheStats> sharded =
+        feed_stats(BankAccumulator(configs, timing, 4), packed, 4097);
+    ASSERT_EQ(serial.size(), configs.size());
+    ASSERT_EQ(sharded.size(), configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      const std::string what = stream_name + " x " + configs[c].name() + kernel;
+      EXPECT_EQ(ref[c], serial[c]) << what;
+      EXPECT_EQ(ref[c], sharded[c]) << what << " sharded, chunked";
+    }
   }
 }
 
@@ -195,9 +205,10 @@ TEST(ReplayEquivalence, OneshotBankCustomTiming) {
 
 // The generalized geometry bank: a scaled space replayed through
 // BankAccumulator (one NestedSweepSim traversal per line-size family,
-// serial whole feed and sharded chunked feed) and through one FastGeomSim
-// per geometry must be bit-identical to CacheModel replay per geometry —
-// the same contract the platform bank keeps, extended to arbitrary generic
+// serial whole feed and sharded chunked feed) and each geometry measured
+// as a bank of one (a one-member family — the path a scaled Fig. 6 walk
+// takes) must be bit-identical to CacheModel replay per geometry — the
+// same contract the platform bank keeps, extended to arbitrary generic
 // geometries.
 void expect_scaled_bank_identical(std::span<const CacheGeometry> geoms,
                                   std::span<const TraceRecord> stream,
@@ -214,7 +225,9 @@ void expect_scaled_bank_identical(std::span<const CacheGeometry> geoms,
     const std::string what = stream_name + " x " + geometry_name(geoms[c]);
     EXPECT_EQ(ref, serial[c]) << what << " bank";
     EXPECT_EQ(ref, sharded[c]) << what << " bank, sharded, chunked";
-    EXPECT_EQ(ref, fast_stats(geoms[c], packed)) << what << " fast";
+    const std::vector<CacheStats> alone = feed_stats(
+        BankAccumulator(geoms.subspan(c, 1), {}, 1), packed);
+    EXPECT_EQ(ref, alone.front()) << what << " bank of one";
   }
 }
 
@@ -239,10 +252,11 @@ TEST(ReplayEquivalence, ScaledBankAdversarial) {
   }
 }
 
-// A single-(size, ways) line family bypasses the nested traversal
-// (FastGeomSim singleton) next to a swept family; sub-16 B lines cannot be
-// replayed from packed 16 B-block words at all, so a geometry bank refuses
-// them rather than alias two lines per word.
+// A single-(size, ways) line family runs as a one-member nested traversal
+// next to a swept family. A geometry bank refuses what no traversal can
+// replay exactly, up front: sub-16 B lines (packed words are 16 B blocks,
+// so two lines would alias per word) and more than 64 ways (the dirty
+// masks are 64-bit), whether the geometry is alone or in a family.
 TEST(ReplayEquivalence, ScaledBankSingletonFallbackAndSubLineRejection) {
   const std::vector<CacheGeometry> geoms = {
       CacheGeometry{4096, 1, 16},    // }
@@ -255,6 +269,14 @@ TEST(ReplayEquivalence, ScaledBankSingletonFallbackAndSubLineRejection) {
   std::vector<CacheGeometry> mixed = geoms;
   mixed.push_back(sub_line.front());
   EXPECT_THROW(BankAccumulator{mixed}, Error);
+
+  const CacheGeometry wide{16384, 128, 16};  // 128 ways, 8 sets
+  ASSERT_TRUE(wide.valid());
+  const std::vector<CacheGeometry> lone_wide = {wide};
+  EXPECT_THROW(BankAccumulator{lone_wide}, Error);
+  std::vector<CacheGeometry> wide_member = geoms;
+  wide_member.push_back(wide);
+  EXPECT_THROW(BankAccumulator{wide_member}, Error);
 }
 
 }  // namespace

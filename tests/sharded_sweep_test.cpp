@@ -259,9 +259,10 @@ TEST(ShardedSweep, TinyStreams) {
 }
 
 // Singletons leave the caller thread too: banks whose other line sizes
-// hold one configuration each run FastCacheSim / FastGeomSim groups on
-// pool threads, next to a sweep group. Each configuration must match its
-// reference-model replay and the serial bank.
+// hold one configuration each run FastCacheSim groups (platform) or
+// one-member NestedSweepSim groups (geometry) on pool threads, next to a
+// sweep group. Each configuration must match its reference-model replay
+// and the serial bank.
 TEST(ShardedSweep, SingletonGroupsRunOnThreads) {
   const PackedWorkload& w = packed_workload("ucbqsort");
   constexpr std::size_t kChunk = 4097;
