@@ -21,16 +21,6 @@
 // measure replay, not the pack pass they all share (capture cost has its
 // own section below).
 //
-// SIMD section: the oneshot stack-sweep kernel replayed with the AVX2
-// flavor forced on vs. off (sims constructed outside the timed region so
-// the ratio is kernel time, not allocation). The kernels replay the packed
-// INSTRUCTION stream — the stream production sweeps feed — whose
-// sequential-run structure the bulk-run kernel vectorizes; the merged
-// trace the replay section uses would interleave data accesses between
-// fetches and hide it. The scalar-vs-SIMD speedup is a PR acceptance
-// metric (>= 1.3x when an AVX2 kernel is compiled in and the CPU has it;
-// gated by scripts/bench_check.py).
-//
 // Parallel section: the exhaustive 27-config bank with its line-size
 // groups on threads (--sweep-jobs) against serial, reporting the aggregate
 // simulated records/second. The bank is asked for min(cpus, 32) threads
@@ -75,7 +65,6 @@
 #include "cache/configurable_cache.hpp"
 #include "cache/fast_cache.hpp"
 #include "cache/packed.hpp"
-#include "cache/stack_sweep.hpp"
 #include "isa/assembler.hpp"
 #include "sim/cpu.hpp"
 #include "sim/fast_cpu.hpp"
@@ -188,49 +177,6 @@ EngineTimes time_all_engines(const std::vector<CacheConfig>& configs,
   t.fast = time_bank(configs, packed, reps, fast_bank);
   t.oneshot = time_bank(configs, packed, reps, oneshot_bank);
   return t;
-}
-
-// --- SIMD oneshot kernel: scalar vs AVX2 ------------------------------------
-
-// The 27 configurations grouped by line size — the three stack-distance
-// traversals the BankAccumulator actually runs for an exhaustive sweep.
-std::vector<std::vector<CacheConfig>> line_size_groups() {
-  std::vector<std::vector<CacheConfig>> groups;
-  for (const LineBytes line : kLineSizes) {
-    std::vector<CacheConfig> g;
-    for (const CacheConfig& cfg : all_configs()) {
-      if (cfg.line == line) g.push_back(cfg);
-    }
-    if (g.size() > 1) groups.push_back(std::move(g));
-  }
-  return groups;
-}
-
-// Pure kernel replay time: the sims are constructed outside the timed
-// region (their allocation/zeroing would otherwise dilute the flavor
-// ratio on short streams), and each rep replays the whole stream through
-// all three traversals.
-double time_sweep_kernels(const std::vector<std::vector<CacheConfig>>& groups,
-                          std::span<const std::uint32_t> packed, bool simd,
-                          unsigned reps) {
-  double best = 0.0;
-  for (unsigned r = 0; r < reps; ++r) {
-    set_stack_sweep_simd(simd);
-    std::vector<StackSweepSim> sims;
-    sims.reserve(groups.size());
-    for (const std::vector<CacheConfig>& g : groups) sims.emplace_back(g);
-    const auto start = std::chrono::steady_clock::now();
-    for (StackSweepSim& sim : sims) sim.replay(packed);
-    const std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-      if (sims[g].stats(groups[g].front()).accesses != packed.size()) {
-        fail("sweep kernel dropped records");
-      }
-    }
-    if (r == 0 || elapsed.count() < best) best = elapsed.count();
-  }
-  return best;
 }
 
 // --- parallel group-threaded sweep -------------------------------------------
@@ -379,18 +325,10 @@ int run(int argc, char** argv) {
                      ",\n  \"workloads\": [\n";
 
   // Capture and pack each stream once, before any timing: the replay and
-  // parallel sections consume the packed merged trace; the SIMD section
-  // replays the packed instruction stream — the stream the production
-  // sweeps (stcache_tune, fig3) actually feed, whose sequential-run
-  // structure is what the bulk-run kernel vectorizes.
+  // parallel sections consume the packed merged trace.
   std::vector<std::vector<std::uint32_t>> packed_streams(workload_set.size());
-  std::vector<std::vector<std::uint32_t>> packed_ifetch(workload_set.size());
   for (std::size_t wi = 0; wi < workload_set.size(); ++wi) {
     Trace stream = capture_trace(find_workload(workload_set[wi]));
-    const SplitTrace split = split_trace(stream);
-    const std::span<const TraceRecord> if_span(
-        split.ifetch.data(), std::min(split.ifetch.size(), opts.max_records));
-    pack_stream(if_span, packed_ifetch[wi]);
     if (stream.size() > opts.max_records) stream.resize(opts.max_records);
     pack_stream(stream, packed_streams[wi]);
   }
@@ -441,42 +379,6 @@ int run(int argc, char** argv) {
   std::cout << "\nExhaustive 27-config bank sweep: fast vs reference "
             << fmt(total.ref / total.fast) << "x, oneshot vs fast "
             << fmt(total.fast / total.oneshot) << "x\n";
-
-  // --- SIMD: oneshot stack-sweep kernel, scalar vs AVX2 ---------------------
-  const bool simd_avail = stack_sweep_simd_available();
-  const std::vector<std::vector<CacheConfig>> groups = line_size_groups();
-  Table simd_table({"workload", "records", "scalar rec/s", "simd rec/s",
-                    "simd/scalar"});
-  std::string simd_json;
-  double simd_scalar_total = 0.0, simd_vec_total = 0.0;
-  std::uint64_t simd_records = 0;
-  for (std::size_t wi = 0; wi < workload_set.size(); ++wi) {
-    const std::span<const std::uint32_t> packed = packed_ifetch[wi];
-    const double scalar =
-        time_sweep_kernels(groups, packed, false, opts.reps);
-    const double vec = time_sweep_kernels(groups, packed, simd_avail, opts.reps);
-    const double recs = static_cast<double>(packed.size()) * 27.0;
-    simd_table.add_row({workload_set[wi], std::to_string(packed.size()),
-                        fmt(recs / scalar), fmt(recs / vec),
-                        fmt(scalar / vec)});
-    simd_scalar_total += scalar;
-    simd_vec_total += vec;
-    simd_records += packed.size() * 27;
-    if (!simd_json.empty()) simd_json += ",\n";
-    simd_json += "      {\"name\": \"" + workload_set[wi] +
-                 "\", \"records\": " + std::to_string(packed.size()) +
-                 ", \"scalar_records_per_second\": " + fmt(recs / scalar) +
-                 ", \"simd_records_per_second\": " + fmt(recs / vec) +
-                 ", \"speedup\": " + fmt(scalar / vec) + "}";
-  }
-  set_stack_sweep_simd(true);  // back to the runtime default for later sections
-  const double simd_recs_d = static_cast<double>(simd_records);
-  std::cout << "\n";
-  simd_table.print(std::cout);
-  std::cout << "\nOneshot sweep kernel: AVX2 vs scalar "
-            << fmt(simd_scalar_total / simd_vec_total) << "x"
-            << (simd_avail ? "" : " (AVX2 unavailable; both rows scalar)")
-            << "\n";
 
   // --- parallel: group-threaded exhaustive sweep ----------------------------
   const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
@@ -577,14 +479,6 @@ int run(int argc, char** argv) {
             << fmt(e2e_total.disk / e2e_total.streaming) << "x\n";
 
   json += "  ],\n  \"overall\": {" + json_rates(total, recs) + "},\n";
-  json += std::string("  \"simd\": {\n    \"available\": ") +
-          (simd_avail ? "true" : "false") + ",\n    \"workloads\": [\n" +
-          simd_json + "\n    ],\n    \"overall\": {" +
-          "\"scalar_records_per_second\": " +
-          fmt(simd_recs_d / simd_scalar_total) +
-          ", \"simd_records_per_second\": " + fmt(simd_recs_d / simd_vec_total) +
-          ", \"speedup\": " + fmt(simd_scalar_total / simd_vec_total) +
-          "}\n  },\n";
   json += "  \"parallel\": {\n    \"cpus\": " + std::to_string(cpus) +
           ",\n    \"jobs\": " + std::to_string(par_jobs) +
           ",\n    \"workloads\": [\n" + par_json + "\n    ],\n    \"overall\": {" +

@@ -8,7 +8,7 @@
 #                        ASan/UBSan fault+trace+mmap+bank threading
 #                        +interpreter+crc32+serving+wire+chaos+phase
 #                        +synthetic+search tests, the throughput/capture/
-#                        end-to-end/simd/parallel/serving/resilience/
+#                        end-to-end/parallel/serving/resilience/
 #                        scaled-sweep/phase gates, the --sweep-jobs,
 #                        trace-file, scaled-space, serving (serial and
 #                        threaded daemon) and phase-timeline determinism
@@ -302,11 +302,10 @@ echo "[repro] daemon-vs-in-process serving determinism ok"
 # tolerance (default 20% per engine; STCACHE_BENCH_TOLERANCE overrides) of
 # the committed BENCH_replay.json, the fast interpreter must capture at
 # least 3x faster than the reference route, the streaming exhaustive
-# tune must beat the capture-to-disk round trip by at least 2x, the AVX2
-# sweep kernel must beat scalar by at least 1.3x (when compiled in and the
-# CPU has it), and the parallel sweep must sustain 5e9 aggregate rec/s
-# (multi-core hosts only). Skipped when the main build tree is sanitized
-# (throughput is not comparable) or python3 is unavailable.
+# tune must beat the capture-to-disk round trip by at least 2x, and the
+# parallel sweep must sustain 5e9 aggregate rec/s (multi-core hosts only).
+# Skipped when the main build tree is sanitized (throughput is not
+# comparable) or python3 is unavailable.
 SAN=$(grep -E '^STCACHE_SANITIZE:' build/CMakeCache.txt | cut -d= -f2)
 if [ -n "$SAN" ]; then
   echo "[bench_check] skipped: build/ is sanitized (STCACHE_SANITIZE=$SAN)"

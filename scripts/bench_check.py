@@ -6,7 +6,7 @@ Usage: bench_check.py BASELINE.json FRESH.json
                       [--tolerance FRAC]
 
 In the default --mode replay, both files are bench_replay_throughput --out
-snapshots. Three checks run:
+snapshots. Four checks run:
 
 1. Engine regression: the overall records/second of each replay engine
    (reference, fast, oneshot) must stay within the tolerance of the
@@ -19,13 +19,7 @@ snapshots. Three checks run:
 3. End-to-end floor: the streaming exhaustive-tune pipeline must be at
    least --e2e-min (default 2.0, STCACHE_E2E_MIN) times faster than the
    capture-to-disk round trip in the FRESH run.
-4. SIMD floor: the AVX2 oneshot stack-sweep kernel must be at least
-   --simd-min (default 1.3, STCACHE_SIMD_MIN) times faster than the
-   scalar flavor in the FRESH run. Armed whenever the fresh snapshot
-   reports simd.available (the kernel was compiled in and the CPU has
-   AVX2); on hosts without it the check prints an explicit skip — both
-   timed rows would be the scalar kernel and the ratio meaningless.
-5. Parallel floor: the group-threaded parallel exhaustive sweep must
+4. Parallel floor: the group-threaded parallel exhaustive sweep must
    sustain at least --parallel-min (default 5e9, STCACHE_PARALLEL_MIN)
    aggregate simulated records/second in the FRESH run. One core cannot
    outrun itself, so (like the serving scaling floor) this is enforced
@@ -403,12 +397,6 @@ def main():
         help="minimum streaming-vs-disk end-to-end speedup (default 2.0)",
     )
     parser.add_argument(
-        "--simd-min",
-        type=float,
-        default=float(os.environ.get("STCACHE_SIMD_MIN", "1.3")),
-        help="minimum AVX2-vs-scalar sweep-kernel speedup (default 1.3)",
-    )
-    parser.add_argument(
         "--parallel-min",
         type=float,
         default=float(os.environ.get("STCACHE_PARALLEL_MIN", "5e9")),
@@ -491,26 +479,6 @@ def main():
         f"[bench_check] end2end   streaming vs disk {e2e:.2f}x "
         f"(floor {args.e2e_min:.2f}x) {status}"
     )
-
-    # SIMD sweep-kernel floor: armed whenever the fresh run had the AVX2
-    # kernel (older snapshots without the section fail loudly — the bench
-    # that produced them predates the gate).
-    simd_sec = fresh_doc.get("simd")
-    if not isinstance(simd_sec, dict) or "available" not in simd_sec:
-        sys.exit(f"error: {args.fresh}: no 'simd' section")
-    if simd_sec["available"]:
-        simd = section_overall(fresh_doc, "simd", "speedup", args.fresh, True)
-        status = "ok" if simd >= args.simd_min else "BELOW FLOOR"
-        failed = failed or simd < args.simd_min
-        print(
-            f"[bench_check] simd      AVX2 vs scalar {simd:.2f}x "
-            f"(floor {args.simd_min:.2f}x) {status}"
-        )
-    else:
-        print(
-            f"[bench_check] simd      floor {args.simd_min:.2f}x SKIPPED "
-            "(fresh run had no AVX2 kernel; both flavors are the scalar path)"
-        )
 
     # Parallel aggregate floor: only meaningful with real parallelism.
     par_sec = fresh_doc.get("parallel")

@@ -61,8 +61,17 @@
 //    granularity) the kernel remembers the last accessed block. A repeat
 //    access to the same block — the common case: sequential ifetch hits
 //    the same 16 B block four times — is a hit in every active slot with
-//    every first-probe bit set, reducing to one histogram bump, one
-//    last-access store and an optional dirty OR.
+//    every first-probe bit set, reducing to one deferred histogram count,
+//    one last-access store and an optional dirty OR.
+//
+//  * Same-line step (32/64 B lines). The group's last-touched line is
+//    resident in every active slot (its last access installed or hit it
+//    everywhere, and only a later access to another line of the group can
+//    evict it). An access to a different block of that line — sequential
+//    code walking block -> block+1 — is therefore a hit everywhere with
+//    nothing to probe or evict; only its first-probe bits need the memo
+//    lookup. It costs one histogram bump, one last-access store, an
+//    optional dirty OR and a memo refresh instead of a full probe.
 //
 // Scope: write-back, victim-buffer-off, cold-start, fixed-configuration
 // replay — exactly the BankAccumulator contract (trace/replay.hpp), which
@@ -76,15 +85,6 @@
 // Equivalence is enforced the same way FastCacheSim's is: CacheStats must
 // be bit-identical to the reference for every in-scope configuration
 // (tests/replay_equivalence_test.cpp, tests/stack_sweep_test.cpp).
-//
-// SIMD: the hot loops (slot probe, LRU victim scan, repeat-run detection)
-// have an AVX2 path compiled into a separate translation unit
-// (stack_sweep_simd.cpp, built with -mavx2 when the toolchain supports it)
-// and selected per-sim at construction when the running CPU reports AVX2.
-// The scalar kernel stays the portable fallback and the differential
-// suites run both flavors; set_stack_sweep_simd(false) forces scalar.
-// Both flavors produce bit-identical CacheStats by construction — the SIMD
-// lanes only restructure the probe/scan, never the update order.
 #pragma once
 
 #include <cstdint>
@@ -96,16 +96,6 @@
 #include "cache/stats.hpp"
 
 namespace stcache {
-
-// True when an AVX2 kernel was compiled in AND the running CPU supports it.
-bool stack_sweep_simd_available();
-// available() && not switched off by set_stack_sweep_simd(false). Sampled
-// once per StackSweepSim at construction.
-bool stack_sweep_simd_enabled();
-// Force the SIMD path on/off for subsequently constructed sims (clamped to
-// availability). The differential tests and bench_replay_throughput use
-// this to time/compare both flavors in one process.
-void set_stack_sweep_simd(bool on);
 
 class StackSweepSim {
  public:
@@ -131,8 +121,8 @@ class StackSweepSim {
 
   std::uint32_t line_bytes() const;
 
-  // Implementation base; the kernel TUs derive one kernel per subline
-  // count and SIMD flavor.
+  // Implementation base; stack_sweep.cpp derives one kernel per subline
+  // count.
   struct Impl;
 
  private:

@@ -127,7 +127,13 @@ expect 2 "asm with no arguments" "$ASM"
 expect 1 "asm on a missing file" "$ASM" "$TMPDIR/nope.s"
 expect 1 "asm on a bad source file" "$ASM" "$BAD_ASM"
 expect 1 "asm --workload with unknown name" "$ASM" --workload nope
-expect 2 "asm --run with a non-numeric budget" "$ASM" "$GOOD_ASM" --run twelve
+expect_invalid "asm --run with a non-numeric budget" \
+    --run twelve "$ASM" "$GOOD_ASM"
+expect_invalid "asm --run with a negative budget" --run -1 "$ASM" "$GOOD_ASM"
+expect_invalid "asm --run with a signed budget" --run +7 "$ASM" "$GOOD_ASM"
+expect_invalid "asm --run with a space-padded budget" \
+    --run ' 5' "$ASM" "$GOOD_ASM"
+expect_invalid "asm --run with a zero budget" --run 0 "$ASM" "$GOOD_ASM"
 
 # --- stcache_tuned: strict flag validation ----------------------------------
 # A daemon that silently misreads a knob is a production incident: every

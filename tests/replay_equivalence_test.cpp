@@ -16,7 +16,8 @@
 // synthetics — a uniform-random stream whose working set exceeds the
 // largest cache (eviction/write-back churn), a cache-line-stride write
 // scan (pathological set conflicts), a pointer chase (temporal reuse with
-// no spatial locality), and a tight fetch loop (the repeat fast path).
+// no spatial locality), and a tight fetch loop (the sweep kernel's repeat
+// fast path and, at 32/64 B lines, its same-line step).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +28,6 @@
 #include <vector>
 
 #include "cache/config.hpp"
-#include "cache/stack_sweep.hpp"
 #include "core/scaled_space.hpp"
 #include "reference_replay.hpp"
 #include "trace/replay.hpp"
@@ -126,19 +126,10 @@ TEST(ReplayEquivalence, CustomTiming) {
   }
 }
 
-// Forces one StackSweepSim kernel flavor for the sims constructed in its
-// scope, then restores the default (AVX2 where the host has it).
-class SimdFlavor {
- public:
-  explicit SimdFlavor(bool on) { set_stack_sweep_simd(on); }
-  ~SimdFlavor() { set_stack_sweep_simd(true); }
-};
-
 // The bank against per-configuration reference replay, fed whole on one
-// thread and in uneven chunks on four, under both StackSweepSim kernels
-// (the scalar one is the only one on a host without AVX2): every grouping
-// (stack-sweep groups and fast-sim singletons), every feed shape and both
-// kernels must reproduce the reference exactly.
+// thread and in uneven chunks on four: every grouping (stack-sweep groups
+// and fast-sim singletons) and every feed shape must reproduce the
+// reference exactly.
 void expect_bank_identical(std::span<const CacheConfig> configs,
                            std::span<const TraceRecord> stream,
                            const std::string& stream_name,
@@ -148,20 +139,16 @@ void expect_bank_identical(std::span<const CacheConfig> configs,
   for (const CacheConfig& cfg : configs) {
     ref.push_back(reference_stats(cfg, stream, timing));
   }
-  for (const bool simd : {false, true}) {
-    const SimdFlavor flavor(simd);
-    const std::string kernel = simd ? " simd" : " scalar";
-    const std::vector<CacheStats> serial =
-        feed_stats(BankAccumulator(configs, timing, 1), packed);
-    const std::vector<CacheStats> sharded =
-        feed_stats(BankAccumulator(configs, timing, 4), packed, 4097);
-    ASSERT_EQ(serial.size(), configs.size());
-    ASSERT_EQ(sharded.size(), configs.size());
-    for (std::size_t c = 0; c < configs.size(); ++c) {
-      const std::string what = stream_name + " x " + configs[c].name() + kernel;
-      EXPECT_EQ(ref[c], serial[c]) << what;
-      EXPECT_EQ(ref[c], sharded[c]) << what << " sharded, chunked";
-    }
+  const std::vector<CacheStats> serial =
+      feed_stats(BankAccumulator(configs, timing, 1), packed);
+  const std::vector<CacheStats> sharded =
+      feed_stats(BankAccumulator(configs, timing, 4), packed, 4097);
+  ASSERT_EQ(serial.size(), configs.size());
+  ASSERT_EQ(sharded.size(), configs.size());
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const std::string what = stream_name + " x " + configs[c].name();
+    EXPECT_EQ(ref[c], serial[c]) << what;
+    EXPECT_EQ(ref[c], sharded[c]) << what << " sharded, chunked";
   }
 }
 

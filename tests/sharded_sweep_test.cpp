@@ -6,9 +6,9 @@
 // the groups on min(sweep_jobs, groups) threads, and every group replays
 // each chunk whole on exactly one thread. Groups share no state, so each
 // group's result is its serial result whichever thread ran it: for any
-// thread count, any feed chunking and either SIMD flavor, stats() must be
-// bit-identical, every CacheStats counter, to the serial bank of the same
-// stream (which the equivalence suite pins to the reference models).
+// thread count and any feed chunking, stats() must be bit-identical, every
+// CacheStats counter, to the serial bank of the same stream (which the
+// equivalence suite pins to the reference models).
 // These tests enforce that on real workload streams (instruction AND data
 // sides), on adversarial synthetics (strided scans, pointer chases, tight
 // loops), on scaled geometry banks, and on banks whose singleton groups
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "cache/config.hpp"
-#include "cache/stack_sweep.hpp"
 #include "core/scaled_space.hpp"
 #include "reference_replay.hpp"
 #include "trace/replay.hpp"
@@ -163,20 +162,6 @@ TEST(ShardedSweep, ChunkedFeedMatchesSingleFeed) {
       EXPECT_EQ(sharded[i], serial[i])
           << "chunk=" << chunk << " x " << all_configs()[i].name();
     }
-  }
-}
-
-// Both SIMD flavors, serial and threaded, must agree exactly.
-TEST(ShardedSweep, SimdFlavorsIdentical) {
-  const PackedWorkload& w = packed_workload("bcnt");
-  set_stack_sweep_simd(false);
-  const std::vector<CacheStats> scalar_serial = serial_stats(w.ifetch);
-  expect_sharded_identical(w.ifetch, "bcnt I scalar");
-  set_stack_sweep_simd(true);
-  expect_sharded_identical(w.ifetch, "bcnt I simd");
-  const std::vector<CacheStats> simd_serial = serial_stats(w.ifetch);
-  for (std::size_t i = 0; i < scalar_serial.size(); ++i) {
-    EXPECT_EQ(scalar_serial[i], simd_serial[i]) << all_configs()[i].name();
   }
 }
 

@@ -15,6 +15,7 @@
 #include "isa/isa.hpp"
 #include "sim/cpu.hpp"
 #include "sim/memory_system.hpp"
+#include "util/parse.hpp"
 #include "workloads/workload.hpp"
 
 namespace stcache {
@@ -79,6 +80,14 @@ int run(int argc, char** argv) {
     return 2;
   }
 
+  // A bad budget is a usage error, reported before any assembly work.
+  const bool run_it = argc >= 3 && std::string(argv[2]) == "--run";
+  std::uint64_t budget = 100'000'000ull;
+  if (run_it && argc >= 4 &&
+      !parse_flag_u64("--run", argv[3], 1, ~std::uint64_t{0}, budget)) {
+    return 2;
+  }
+
   std::ifstream in(argv[1]);
   if (!in) {
     std::cerr << "error: cannot open " << argv[1] << "\n";
@@ -91,22 +100,7 @@ int run(int argc, char** argv) {
               program.symbols.size());
   print_listing(program);
 
-  if (argc >= 3 && std::string(argv[2]) == "--run") {
-    std::uint64_t budget = 100'000'000ull;
-    if (argc >= 4) {
-      try {
-        std::size_t pos = 0;
-        budget = std::stoull(argv[3], &pos);
-        if (argv[3][pos] != '\0') throw std::invalid_argument(argv[3]);
-      } catch (const std::exception&) {
-        std::cerr << "error: bad instruction budget '" << argv[3]
-                  << "' (expected a number)\n";
-        return 2;
-      }
-    }
-    return run_program(program, budget);
-  }
-  return 0;
+  return run_it ? run_program(program, budget) : 0;
 }
 
 }  // namespace
