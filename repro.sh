@@ -5,7 +5,7 @@
 #
 #   ./repro.sh           full pipeline (build, all tests, TSan sweep+bank
 #                        threading+stream+serving+chaos+phase tests,
-#                        ASan/UBSan fault+trace+mmap+bank threading
+#                        ASan/UBSan fault+trace-reader+bank threading
 #                        +interpreter+crc32+serving+wire+chaos+phase
 #                        +synthetic+search tests, the throughput/capture/
 #                        end-to-end/parallel/serving/resilience/
@@ -15,7 +15,8 @@
 #                        gates, every bench binary)
 #   ./repro.sh --quick   build + the parallel-sweep, streaming and serving
 #                        tests (native, TSan, one chaos campaign) + the
-#                        fault-injection, trace-format, mmap-reader,
+#                        fault-injection, trace-reader (every
+#                        single-byte mutant, a 2 M-record RSS pass),
 #                        replay-equivalence, stack-sweep, bank-threading,
 #                        fast-interpreter differential, stream, CRC-32,
 #                        serving, wire and chaos tests (native and
@@ -88,19 +89,18 @@ RESILIENCE_FILTER=
 # NestedSweepSim's per-group stats path, which settles open dirty epochs
 # into a copy of the write-back counters by level and way offsets.
 cmake -B build-asan -S . -DSTCACHE_SANITIZE=address,undefined > /dev/null
-cmake --build build-asan -j "$(nproc)" --target fault_test trace_io_test mmap_trace_test replay_equivalence_test stack_sweep_test sharded_sweep_test fast_cpu_test stream_test crc32_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test trace_test heuristic_test evaluator_test scaled_space_test multilevel_test tuner_fsmd_test tuner_stepper_test search_test
+cmake --build build-asan -j "$(nproc)" --target fault_test trace_io_test replay_equivalence_test stack_sweep_test sharded_sweep_test fast_cpu_test stream_test crc32_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test trace_test heuristic_test evaluator_test scaled_space_test multilevel_test tuner_fsmd_test tuner_stepper_test search_test
 ./build-asan/tests/fault_test
-./build-asan/tests/trace_io_test
-# The out-of-core reader does raw pointer arithmetic over an mmap'd file
-# (chunk slices, page-aligned MADV_DONTNEED spans, a hand-decoded footer):
-# exactly where an off-by-one reads out of bounds without failing a
-# functional assertion. The 100 M-record RSS-bound test runs here too —
-# --quick trims it to 2 M records to stay fast; the full run keeps the
-# acceptance-size pass.
+# The STCT reader decodes untrusted bytes: chunk slices of a reused
+# buffer, a hand-decoded header and footer, every single-byte mutant of a
+# small file. That is where an off-by-one reads out of bounds without
+# failing a functional assertion. The 100 M-record RSS-bound test runs
+# here too — --quick trims it to 2 M records to stay fast; the full run
+# keeps the acceptance-size pass.
 if [ "$QUICK" = "1" ]; then
-  STCACHE_BIG_TRACE_RECORDS=2000000 ./build-asan/tests/mmap_trace_test
+  STCACHE_BIG_TRACE_RECORDS=2000000 ./build-asan/tests/trace_io_test
 else
-  ./build-asan/tests/mmap_trace_test
+  ./build-asan/tests/trace_io_test
 fi
 ./build-asan/tests/replay_equivalence_test
 ./build-asan/tests/stack_sweep_test
@@ -193,16 +193,14 @@ if [ "$QUICK" = "1" ]; then
         ./build/tools/stcache_tune --workload crc --exhaustive --sweep-jobs "$sj" > /tmp/stcache_tune_sj.txt
         cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_sj.txt
     done
-    # Trace-file gate: the out-of-core file reader (mmap, its forced pread
-    # fallback, and threaded) must reproduce the workload-mode run of the
-    # same stream byte for byte.
+    # Trace-file gate: the file reader, serial and with a threaded bank,
+    # must reproduce the workload-mode run of the same stream byte for
+    # byte.
     ./build/tools/stcache_trace capture crc /tmp/stcache_repro.stct
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_mm.txt
-    STCACHE_NO_MMAP=1 ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_mm.txt
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_mm.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive > /tmp/stcache_tune_file.txt
+    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_file.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_file.txt
+    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_file.txt
     rm -f /tmp/stcache_repro.stct
     # Scaled-space gate: the generalized sweep's --space report must be
     # byte-identical across --sweep-jobs values.
@@ -230,9 +228,9 @@ fi
 ctest --test-dir build 2>&1 | tee test_output.txt
 
 # --sweep-jobs and trace-file determinism gates: thread counts (7 clamps
-# to the three line-size groups), the out-of-core file reader, its forced
-# pread fallback, and the file reader threaded must all reproduce the
-# serial workload-mode output byte for byte.
+# to the three line-size groups), the file reader, and the file reader with
+# a threaded bank must all reproduce the serial workload-mode output byte
+# for byte.
 for wl in crc ucbqsort; do
   for streamsel in I D; do
     ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive > /tmp/stcache_tune_serial.txt
@@ -241,12 +239,10 @@ for wl in crc ucbqsort; do
       cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_sj.txt
     done
     ./build/tools/stcache_trace capture "$wl" /tmp/stcache_repro.stct
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_mm.txt
-    STCACHE_NO_MMAP=1 ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_mm.txt
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_mm.txt
-    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_mm.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive > /tmp/stcache_tune_file.txt
+    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_file.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_file.txt
+    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_file.txt
     rm -f /tmp/stcache_repro.stct
   done
 done

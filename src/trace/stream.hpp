@@ -1,7 +1,7 @@
 // Streaming capture→sweep pipeline: bounded SPSC chunk queue plus the
 // PackedSink implementations that let FastCpu (sim/fast_cpu.hpp) emit
 // packed trace words straight into consumers, killing the
-// capture→Trace→disk→read_trace→pack_stream round trip.
+// capture→Trace→disk→reload→pack_stream round trip.
 //
 // Topology (one producer thread, one consumer thread):
 //

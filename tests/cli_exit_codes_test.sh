@@ -61,6 +61,14 @@ if cmp -s "$GOOD" "$CORRUPT"; then
     printf '\031' | dd of="$CORRUPT" bs=1 seek=18 count=1 conv=notrunc 2>/dev/null
 fi
 
+# Bytes the header does not account for: two traces concatenated, and
+# seven bytes appended. The header fixes a trace file's size exactly.
+TWICE="$TMPDIR/twice.stct"
+cat "$GOOD" "$GOOD" > "$TWICE"
+APPENDED="$TMPDIR/appended.stct"
+cp "$GOOD" "$APPENDED"
+printf '1234567' >> "$APPENDED"
+
 GOOD_ASM="$TMPDIR/good.s"
 "$ASM" --workload crc > "$GOOD_ASM"
 
@@ -75,6 +83,10 @@ expect 2 "trace with no arguments" "$TRACE"
 expect 2 "trace with unknown command" "$TRACE" frobnicate
 expect 1 "trace info on a missing file" "$TRACE" info "$TMPDIR/nope.stct"
 expect 1 "trace info on a corrupted file" "$TRACE" info "$CORRUPT"
+expect 1 "trace info on two concatenated traces" "$TRACE" info "$TWICE"
+expect 1 "trace info on a file with appended bytes" \
+    "$TRACE" info "$APPENDED"
+expect 2 "trace list with a trailing argument" "$TRACE" list extra
 expect 1 "trace capture of unknown workload" "$TRACE" capture nope "$TMPDIR/x.stct"
 expect 1 "trace capture to unwritable path" "$TRACE" capture crc /nonexistent/dir/x.stct
 
@@ -85,6 +97,8 @@ expect 2 "tune with no arguments" "$TUNE"
 expect 2 "tune with unknown flag" "$TUNE" "$GOOD" --frobnicate
 expect 1 "tune on a missing file" "$TUNE" "$TMPDIR/nope.stct"
 expect 1 "tune on a corrupted file" "$TUNE" "$CORRUPT"
+expect 1 "tune on two concatenated traces" "$TUNE" "$TWICE"
+expect 1 "tune on a file with appended bytes" "$TUNE" "$APPENDED"
 expect 1 "tune with unwritable metrics path" \
     "$TUNE" "$GOOD" --exhaustive --metrics-out /nonexistent/dir/m.json
 
@@ -127,6 +141,12 @@ expect 2 "asm with no arguments" "$ASM"
 expect 1 "asm on a missing file" "$ASM" "$TMPDIR/nope.s"
 expect 1 "asm on a bad source file" "$ASM" "$BAD_ASM"
 expect 1 "asm --workload with unknown name" "$ASM" --workload nope
+expect 0 "asm --run without a budget" "$ASM" "$GOOD_ASM" --run
+expect 2 "asm with an unknown flag" "$ASM" "$GOOD_ASM" --frobnicate
+expect 2 "asm --run N with a trailing argument" \
+    "$ASM" "$GOOD_ASM" --run 5 extra
+expect 2 "asm --workload with a trailing argument" \
+    "$ASM" --workload crc extra
 expect_invalid "asm --run with a non-numeric budget" \
     --run twelve "$ASM" "$GOOD_ASM"
 expect_invalid "asm --run with a negative budget" --run -1 "$ASM" "$GOOD_ASM"

@@ -1,13 +1,12 @@
 // Tests of the streaming capture pipeline (trace/stream.hpp): the SPSC
 // chunk queue, the chunked sinks, stream_workload determinism against the
-// materialized capture, incremental bank accumulation, and the bulk packed
-// trace reader. The queue tests are the ones repro.sh runs under TSan.
+// materialized capture, and incremental bank accumulation. The queue tests
+// are the ones repro.sh runs under TSan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <span>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "sim/fast_cpu.hpp"
 #include "trace/replay.hpp"
 #include "trace/stream.hpp"
-#include "trace/trace_io.hpp"
 #include "util/error.hpp"
 #include "workloads/workload.hpp"
 
@@ -218,41 +216,6 @@ TEST(BankAccumulator, ChunkedFeedMatchesOneShotForEveryEngine) {
     EXPECT_EQ(sim.stats(), ref) << "chunked fast sim x " << configs[i].name();
   }
   EXPECT_EQ(single.stats().front(), got.front()) << "chunked singleton";
-}
-
-// --- bulk packed trace reader -----------------------------------------------
-
-TEST(PackedTraceIo, ReadPackedMatchesReadPlusSplitPlusPack) {
-  const Workload& w = find_workload("bcnt");
-  const Trace trace = capture_trace(w);
-  std::stringstream file;
-  write_trace(file, trace);
-
-  const PackedSplitTrace packed = read_packed_trace(file);
-  const SplitTrace split = split_trace(trace);
-  EXPECT_TRUE(packed.ifetch == pack_stream(split.ifetch));
-  EXPECT_TRUE(packed.data == pack_stream(split.data));
-}
-
-TEST(PackedTraceIo, RejectsCorruptedPayload) {
-  const Workload& w = find_workload("bcnt");
-  const Trace trace = capture_trace(w);
-  std::stringstream file;
-  write_trace(file, trace);
-  std::string bytes = file.str();
-  bytes[bytes.size() / 2] ^= 0x40;  // flip a payload bit; CRC must catch it
-  std::stringstream corrupted(bytes);
-  EXPECT_THROW(read_packed_trace(corrupted), Error);
-}
-
-TEST(PackedTraceIo, LoadPackedTraceErrorsNameThePath) {
-  try {
-    load_packed_trace("/nonexistent/trace.stct");
-    FAIL() << "expected an error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("/nonexistent/trace.stct"),
-              std::string::npos);
-  }
 }
 
 }  // namespace

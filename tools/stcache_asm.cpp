@@ -68,22 +68,27 @@ int run_program(const Program& program, std::uint64_t budget) {
   return r.halted ? 0 : 1;
 }
 
+int usage() {
+  std::cerr << "usage:\n"
+            << "  stcache_asm <file.s> [--run [max-instructions]]\n"
+            << "  stcache_asm --workload <name>\n";
+  return 2;
+}
+
 int run(int argc, char** argv) {
-  if (argc >= 3 && std::string(argv[1]) == "--workload") {
+  if (argc < 2) return usage();
+  if (std::string(argv[1]) == "--workload") {
+    if (argc != 3) return usage();
     std::cout << find_workload(argv[2]).source;
     return 0;
   }
-  if (argc < 2) {
-    std::cerr << "usage:\n"
-              << "  stcache_asm <file.s> [--run [max-instructions]]\n"
-              << "  stcache_asm --workload <name>\n";
-    return 2;
-  }
 
-  // A bad budget is a usage error, reported before any assembly work.
-  const bool run_it = argc >= 3 && std::string(argv[2]) == "--run";
+  // Anything but `--run [N]` after the file, or a bad budget, is a usage
+  // error, reported before any assembly work.
+  const bool run_it = argc >= 3;
+  if (argc > 4 || (run_it && std::string(argv[2]) != "--run")) return usage();
   std::uint64_t budget = 100'000'000ull;
-  if (run_it && argc >= 4 &&
+  if (argc == 4 &&
       !parse_flag_u64("--run", argv[3], 1, ~std::uint64_t{0}, budget)) {
     return 2;
   }

@@ -7,7 +7,9 @@
 //   stcache_trace info <file.stct>
 //       Print summary statistics of a trace file.
 #include <iostream>
+#include <unordered_set>
 
+#include "cache/packed.hpp"
 #include "trace/trace_io.hpp"
 #include "util/table.hpp"
 #include "workloads/workload.hpp"
@@ -34,21 +36,33 @@ int cmd_capture(const std::string& name, const std::string& path) {
 }
 
 int cmd_info(const std::string& path) {
-  const Trace trace = load_trace(path);
-  const TraceSummary all = summarize(trace);
-  const SplitTrace split = split_trace(trace);
-  const TraceSummary ifetch = summarize(split.ifetch);
-  const TraceSummary data = summarize(split.data);
+  const PackedSplitTrace trace = load_packed_trace(path);
+  // Footprints count distinct 16 B blocks; the combined row is the union.
+  std::unordered_set<std::uint32_t> iblocks;
+  std::unordered_set<std::uint32_t> dblocks;
+  std::uint64_t writes = 0;
+  for (const std::uint32_t w : trace.ifetch) {
+    iblocks.insert(w & kPackedBlockMask);
+  }
+  for (const std::uint32_t w : trace.data) {
+    writes += (w & kPackedWriteBit) != 0;
+    dblocks.insert(w & kPackedBlockMask);
+  }
+  std::uint64_t footprint = iblocks.size();
+  for (const std::uint32_t b : dblocks) footprint += iblocks.count(b) == 0;
+  const std::uint64_t reads = trace.data.size() - writes;
 
   Table table({"stream", "accesses", "reads", "writes",
                "footprint (16B blocks)"});
-  auto row = [&](const char* label, const TraceSummary& s) {
-    table.add_row({label, std::to_string(s.accesses), std::to_string(s.reads),
-                   std::to_string(s.writes), std::to_string(s.unique_blocks)});
+  auto row = [&](const char* label, std::uint64_t accesses, std::uint64_t r,
+                 std::uint64_t w, std::uint64_t blocks) {
+    table.add_row({label, std::to_string(accesses), std::to_string(r),
+                   std::to_string(w), std::to_string(blocks)});
   };
-  row("combined", all);
-  row("instruction", ifetch);
-  row("data", data);
+  row("combined", trace.ifetch.size() + trace.data.size(), reads, writes,
+      footprint);
+  row("instruction", trace.ifetch.size(), 0, 0, iblocks.size());
+  row("data", trace.data.size(), reads, writes, dblocks.size());
   table.print(std::cout);
   return 0;
 }
@@ -67,7 +81,7 @@ int usage() {
 int main(int argc, char** argv) {
   using namespace stcache;
   try {
-    if (argc >= 2 && std::string(argv[1]) == "list") return cmd_list();
+    if (argc == 2 && std::string(argv[1]) == "list") return cmd_list();
     if (argc == 4 && std::string(argv[1]) == "capture") {
       return cmd_capture(argv[2], argv[3]);
     }

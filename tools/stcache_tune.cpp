@@ -11,17 +11,17 @@
 // Both modes tune the selected stream's cache (instruction by default)
 // with the Figure 6 heuristic and print the decision; with --exhaustive
 // the 27-point optimum and the heuristic's gap are printed as well. The
-// file mode streams the trace out-of-core (MappedPackedTrace: mmap +
-// chunked decode, pages released behind the cursor, a pread fallback under
-// STCACHE_NO_MMAP=1): an exhaustive sweep folds each decoded chunk
-// straight into the configuration bank, so a trace far larger than memory
-// runs in a bounded footprint, and the heuristic materializes the selected
-// stream chunk by chunk. The workload mode never touches disk: the fast
-// interpreter runs on a capture thread and each packed chunk is folded
-// into the exhaustive configuration bank as it is produced, so capture and
-// sweep overlap. Stdout is byte-identical across file/workload modes and
-// --sweep-jobs values for the same trace (--sweep-jobs runs the bank's
-// line-size groups on threads, each group's result its serial result; see
+// file mode streams the trace through PackedTraceReader (64 Ki-record
+// chunks read into one reused buffer and decoded into reused packed
+// streams): an exhaustive sweep folds each decoded chunk straight into the
+// configuration bank, so a trace far larger than memory runs in a bounded
+// footprint, and the heuristic materializes the selected stream chunk by
+// chunk. The workload mode never touches disk: the fast interpreter runs
+// on a capture thread and each packed chunk is folded into the exhaustive
+// configuration bank as it is produced, so capture and sweep overlap.
+// Stdout is byte-identical across file/workload modes and --sweep-jobs
+// values for the same trace (--sweep-jobs runs the bank's line-size
+// groups on threads, each group's result its serial result; see
 // trace/replay.hpp).
 //
 // --phases SCENARIO runs the phase-adaptive tuner (src/phase) on a named
@@ -227,21 +227,24 @@ int run(int argc, char** argv) {
   const bool platform_exhaustive = exhaustive && space_name.empty();
 
   // The selected stream, packed (bit 31 = write, bits 30..0 = 16 B block),
-  // chunk by chunk from the capture thread or the out-of-core decoder. No
+  // chunk by chunk from the capture thread or the file reader. No
   // TraceRecord AoS is ever built in any mode.
   const Workload* workload =
       workload_name.empty() ? nullptr : &find_workload(workload_name);
-  std::optional<MappedPackedTrace> mapped;
-  if (!workload) mapped.emplace(path);
+  std::optional<PackedTraceReader> reader;
+  if (!workload) reader.emplace(path);
   const auto for_each_chunk = [&](auto&& consume) {
     if (workload) {
       stream_workload(*workload, [&](const PackedChunk& chunk) {
         consume(instruction ? chunk.ifetch_words() : chunk.data_words());
       });
     } else {
-      mapped->for_each_chunk([&](const MappedPackedTrace::Chunk& chunk) {
+      PackedSplitTrace chunk;
+      while (reader->read_chunk(chunk)) {
         consume(instruction ? chunk.ifetch : chunk.data);
-      });
+        chunk.ifetch.clear();
+        chunk.data.clear();
+      }
     }
   };
 
@@ -273,7 +276,7 @@ int run(int argc, char** argv) {
             .front();
   } else {
     // The file's record count bounds the selected stream: one allocation.
-    if (mapped) sel.reserve(mapped->record_count());
+    if (reader) sel.reserve(reader->record_count());
     for_each_chunk([&](std::span<const std::uint32_t> words) {
       sel.insert(sel.end(), words.begin(), words.end());
     });

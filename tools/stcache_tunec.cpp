@@ -9,12 +9,13 @@
 // The workload mode captures on a producer thread and ships each packed
 // chunk over the socket as it is produced — capture, network, and the
 // daemon's sweep all overlap, and no full trace is ever materialized on
-// either side. The file mode loads the packed trace whole
-// (load_packed_trace) and streams it in chunks. Because the daemon folds
-// chunks with the same BankAccumulator the in-process pipeline uses, and
-// both sides render through print_exhaustive_report, stdout is
-// byte-identical to `stcache_tune --exhaustive` on the same stream
-// (repro.sh cmp's the two).
+// either side. The file mode collects the whole file first
+// (load_packed_trace: the STCT reader run to its end, CRC footer
+// included), so a corrupt file fails before anything is sent, then sends
+// the selected stream in chunks. Because the daemon folds chunks with the
+// same BankAccumulator the in-process pipeline uses, and both sides render
+// through print_exhaustive_report, stdout is byte-identical to
+// `stcache_tune --exhaustive` on the same stream (repro.sh cmp's the two).
 //
 // Resilience: sessions are idempotent (a verdict is a pure function of the
 // stream), so --retries N replays the whole session up to N extra times on
