@@ -12,26 +12,28 @@
 //           truncate, disconnect, stall, duplicate) until the clean
 //           client finishes.
 //
-// The chaos/clean ratio is the isolation factor the ISSUE gates at
-// >= 0.8: a neighbor burning its own sessions with wire faults may not
-// cost a clean tenant more than 20% throughput. Every clean verdict in
-// both phases is checked bit-identical to the in-process bank, so the
-// number only exists if correctness held under fire.
+// The two legs alternate kRounds times; each keeps its best round.
 //
-// Results land on stdout as a table and in --out (default
-// BENCH_serving_resilience.json) as JSON; the committed copy at the repo
-// root is the baseline snapshot scripts/bench_check.py --mode resilience
-// compares against.
+// The chaos/clean ratio is the isolation factor, gated at >= 0.8: a
+// neighbor burning its own sessions with wire faults may not cost a clean
+// tenant more than 20% throughput. On one core the neighbor steals real
+// CPU from the clean tenant, so the floor carries min_cpus 2. Every clean
+// verdict in both phases is checked bit-identical to the in-process bank,
+// so the number only exists if correctness held under fire.
+//
+// Results land on stdout as a table. With --out, the gated values go to a
+// bench::Snapshot (bench/common.hpp) — the committed
+// BENCH_serving_resilience.json at the repo root is one — and
+// scripts/bench_check.py gates a fresh snapshot against the committed one.
 #include <unistd.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <span>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,10 +49,16 @@
 namespace stcache {
 namespace {
 
+// The clean and chaos legs alternate kRounds times and each keeps its
+// best round, so a burst of host noise costs one round rather than
+// deciding the ratio: with one 8-session round per leg the ratio swung
+// from 0.78x to 1.46x between runs.
+constexpr unsigned kRounds = 3;
+
 struct Options {
-  unsigned reps = 8;  // long enough a window that the ratio is stable
+  unsigned reps = 12;  // sessions per timed leg
   std::uint64_t seed = 0xbadcafe;
-  std::string out = "BENCH_serving_resilience.json";
+  std::string out;  // the snapshot is written only when --out is given
 };
 
 Options parse_args(int argc, char** argv) {
@@ -85,7 +93,8 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 int run(int argc, char** argv) {
   const Options opts = parse_args(argc, argv);
-  const unsigned cpus = std::max(1u, std::thread::hardware_concurrency());
+  bench::Snapshot snap("serving_resilience");
+  const unsigned cpus = snap.cpus();
 
   bench::print_header(
       "Tuning-service isolation: clean-tenant throughput with a "
@@ -123,14 +132,7 @@ int run(int argc, char** argv) {
 
   clean_pass();  // warmup, untimed
 
-  // Phase 1: the clean tenant alone.
-  const auto t_clean = std::chrono::steady_clock::now();
-  clean_pass();
-  const double clean_secs = seconds_since(t_clean);
-  const double words = static_cast<double>(sel.size()) * opts.reps;
-  const double clean_rate = words / clean_secs;
-
-  // Phase 2: same loop, with the neighbor misbehaving the whole time.
+  // The neighbor: back-to-back seeded fault sessions until told to stop.
   // High fault rates keep its sessions short and abusive — mostly error
   // paths, which is exactly the machinery whose cost is being measured.
   FaultPlan plan;
@@ -141,32 +143,47 @@ int run(int argc, char** argv) {
   plan.wire_stall = 0.1;
   plan.wire_stall_ms = 5;
   plan.wire_duplicate = 0.1;
-
-  std::atomic<bool> stop_chaos{false};
   std::uint64_t chaos_sessions = 0;
   std::uint64_t faults_injected = 0;
-  std::thread neighbor([&] {
+  const auto neighbor_loop = [&](std::stop_token stop) {
     const std::span<const std::uint32_t> small(sel.data(),
                                                std::min<std::size_t>(
                                                    sel.size(), 4096));
-    for (std::uint64_t s = 1; !stop_chaos; ++s) {
-      ChaosEndpoint chaos(plan.reseeded(s), /*response_timeout_ms=*/10'000);
+    while (!stop.stop_requested()) {
+      ++chaos_sessions;
+      ChaosEndpoint chaos(plan.reseeded(chaos_sessions),
+                          /*response_timeout_ms=*/10'000);
       const ChaosReport report =
           chaos.run(server_opts.socket_path, true, small, 512);
-      ++chaos_sessions;
       faults_injected += report.counts.total();
       // Pace the neighbor: the gate measures the server's fault-handling
       // overhead on a clean tenant, not fair-share scheduling against a
       // busy-loop — which a single-core host could never win anyway.
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-  });
+  };
 
-  const auto t_chaos = std::chrono::steady_clock::now();
-  clean_pass();
-  const double chaos_secs = seconds_since(t_chaos);
-  stop_chaos = true;
-  neighbor.join();
+  // Each round: the clean tenant alone, then the same loop with the
+  // neighbor misbehaving the whole time.
+  double clean_secs = 0.0, chaos_secs = 0.0;
+  for (unsigned round = 0; round < kRounds; ++round) {
+    const auto t_clean = std::chrono::steady_clock::now();
+    clean_pass();
+    const double clean = seconds_since(t_clean);
+
+    double chaos = 0.0;
+    {
+      std::jthread neighbor(neighbor_loop);  // stopped and joined at `}`
+      const auto t_chaos = std::chrono::steady_clock::now();
+      clean_pass();
+      chaos = seconds_since(t_chaos);
+    }
+
+    if (round == 0 || clean < clean_secs) clean_secs = clean;
+    if (round == 0 || chaos < chaos_secs) chaos_secs = chaos;
+  }
+  const double words = static_cast<double>(sel.size()) * opts.reps;
+  const double clean_rate = words / clean_secs;
   const double chaos_rate = words / chaos_secs;
   const double ratio = chaos_rate / clean_rate;
 
@@ -182,30 +199,18 @@ int run(int argc, char** argv) {
                  fmt_double(chaos_secs, 3), fmt_double(chaos_rate, 0)});
   table.print(std::cout);
   std::cout << "\nClean-tenant throughput under chaos: " << fmt_double(ratio, 2)
-            << "x of the quiet baseline (" << chaos_sessions
+            << "x of the quiet baseline, best of " << kRounds
+            << " rounds (" << chaos_sessions
             << " chaos sessions, " << faults_injected
             << " faults injected) on " << cpus << " cpu(s)\n";
 
-  std::ofstream out(opts.out);
-  if (!out) {
-    std::cerr << "error: cannot write " << opts.out << "\n";
-    return 1;
-  }
-  out << "{\n"
-      << "  \"bench\": \"serving_resilience\",\n"
-      << "  \"cpus\": " << cpus << ",\n"
-      << "  \"workers\": " << server.workers() << ",\n"
-      << "  \"reps\": " << opts.reps << ",\n"
-      << "  \"stream_words\": " << sel.size() << ",\n"
-      << "  \"clean\": {\"seconds\": " << clean_secs
-      << ", \"words_per_second\": " << clean_rate << "},\n"
-      << "  \"chaos\": {\"seconds\": " << chaos_secs
-      << ", \"words_per_second\": " << chaos_rate
-      << ", \"sessions\": " << chaos_sessions
-      << ", \"faults_injected\": " << faults_injected << "},\n"
-      << "  \"ratio\": " << ratio << "\n"
-      << "}\n";
-  return 0;
+  snap.exact("stream_words", static_cast<double>(sel.size()), "words");
+  snap.rate("clean.words_per_second", clean_rate, "words/s");
+  snap.rate("chaos.words_per_second", chaos_rate, "words/s");
+  snap.ratio("ratio", ratio, "x");
+  snap.floor({.metrics = {"ratio"}, .op = "min", .limit = 0.8,
+              .min_cpus = 2});
+  return snap.write(opts.out) ? 0 : 1;
 }
 
 }  // namespace

@@ -9,10 +9,14 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -139,6 +143,122 @@ inline void finish_sweep(const SweepRunner& runner, const BenchOptions& opts) {
     std::exit(1);
   }
 }
+
+// --- gated snapshots ---------------------------------------------------------
+//
+// The five gated benches (replay, serving, resilience, scaled, phase) write
+// their --out file through Snapshot, in the shape of BENCHMARK.json:
+//
+//   {"bench": NAME, "cpus": N,
+//    "metrics": {NAME: {"value": V, "unit": U,
+//                       "better": "higher" | "lower" | "equal",
+//                       "bound": B | null}, ...},
+//    "floors": [{"metric": M | "metrics": [M, ...], "at_least": K,
+//                "min": X | "max": X, "min_cpus": C}, ...]}
+//
+// scripts/bench_check.py compares a fresh snapshot with the committed one,
+// taking every bound and floor from the committed file. A bound is the
+// fraction a timed value may fall behind the committed one; bound 0 marks
+// a deterministic value (a count, an energy) that must match exactly; null
+// marks a value only floors read. Floors are checked on the fresh values;
+// they are constants in each bench's source, so only a source change moves
+// them. A bench writes its snapshot only when --out is given.
+
+// The fraction a timed rate may fall behind its committed snapshot.
+inline constexpr double kRateBound = 0.20;
+
+struct Floor {
+  std::vector<std::string> metrics;  // one metric, or a group
+  const char* op;                    // "min" or "max"
+  double limit;
+  unsigned at_least = 0;  // a group: how many must hold (0 = all)
+  unsigned min_cpus = 0;  // armed only when the run had this many cpus
+};
+
+class Snapshot {
+ public:
+  explicit Snapshot(std::string bench)
+      : bench_(std::move(bench)),
+        cpus_(std::max(1u, std::thread::hardware_concurrency())) {}
+
+  unsigned cpus() const { return cpus_; }
+
+  // A timed rate, gated at kRateBound behind the committed one.
+  void rate(const std::string& name, double value, const char* unit) {
+    metrics_.push_back({name, value, unit, "higher", kRateBound});
+  }
+  // A deterministic value: any difference from the committed one fails.
+  void exact(const std::string& name, double value, const char* unit) {
+    metrics_.push_back({name, value, unit, "equal", 0.0});
+  }
+  // A value that only floors read.
+  void ratio(const std::string& name, double value, const char* unit,
+             const char* better = "higher") {
+    metrics_.push_back({name, value, unit, better, std::nullopt});
+  }
+  void floor(Floor f) { floors_.push_back(std::move(f)); }
+
+  // Writes the snapshot to `path`; nothing when `path` is empty. Returns
+  // false (after printing why) when the file cannot be written.
+  bool write(const std::string& path) const {
+    if (path.empty()) return true;
+    std::ofstream os(path);
+    os << "{\n  \"bench\": \"" << bench_ << "\",\n  \"cpus\": " << cpus_
+       << ",\n  \"metrics\": {";
+    for (std::size_t i = 0; i < metrics_.size(); ++i) {
+      const Metric& m = metrics_[i];
+      // Exact values keep every digit so the round trip compares equal.
+      os << (i ? ",\n" : "\n") << "    \"" << m.name << "\": {\"value\": "
+         << num(m.value, m.bound == 0.0 ? 17 : 6) << ", \"unit\": \""
+         << m.unit << "\", \"better\": \"" << m.better << "\", \"bound\": "
+         << (m.bound ? num(*m.bound, 6) : "null") << "}";
+    }
+    os << "\n  },\n  \"floors\": [";
+    for (std::size_t i = 0; i < floors_.size(); ++i) {
+      const Floor& f = floors_[i];
+      os << (i ? ",\n" : "\n") << "    {";
+      if (f.metrics.size() == 1) {
+        os << "\"metric\": \"" << f.metrics[0] << "\"";
+      } else {
+        os << "\"metrics\": [";
+        for (std::size_t j = 0; j < f.metrics.size(); ++j) {
+          os << (j ? ", " : "") << "\"" << f.metrics[j] << "\"";
+        }
+        os << "]";
+      }
+      if (f.at_least != 0) os << ", \"at_least\": " << f.at_least;
+      os << ", \"" << f.op << "\": " << num(f.limit, 6);
+      if (f.min_cpus != 0) os << ", \"min_cpus\": " << f.min_cpus;
+      os << "}";
+    }
+    os << "\n  ]\n}\n";
+    if (!os.flush()) {
+      std::cerr << "error: cannot write '" << path << "'\n";
+      return false;
+    }
+    return true;
+  }
+
+ private:
+  struct Metric {
+    std::string name;
+    double value;
+    const char* unit;
+    const char* better;
+    std::optional<double> bound;
+  };
+
+  static std::string num(double v, int digits) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+    return buf;
+  }
+
+  std::string bench_;
+  unsigned cpus_;
+  std::vector<Metric> metrics_;
+  std::vector<Floor> floors_;
+};
 
 }  // namespace stcache::bench
 

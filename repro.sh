@@ -7,9 +7,9 @@
 #                        threading+stream+serving+chaos+phase tests,
 #                        ASan/UBSan fault+trace-reader+bank threading
 #                        +interpreter+crc32+serving+wire+chaos+phase
-#                        +synthetic+search tests, the throughput/capture/
-#                        end-to-end/parallel/serving/resilience/
-#                        scaled-sweep/phase gates, the --sweep-jobs,
+#                        +synthetic+search tests, the one bench gate
+#                        over the five BENCH_*.json snapshots (replay,
+#                        serving, resilience, scaled, phase), the --sweep-jobs,
 #                        trace-file, scaled-space, serving (serial and
 #                        threaded daemon) and phase-timeline determinism
 #                        gates, every bench binary)
@@ -294,51 +294,42 @@ for daemon_flags in "" "--sweep-jobs 3"; do
 done
 echo "[repro] daemon-vs-in-process serving determinism ok"
 
-# Throughput gates: a fresh bench_replay_throughput run must stay within
-# tolerance (default 20% per engine; STCACHE_BENCH_TOLERANCE overrides) of
-# the committed BENCH_replay.json, the fast interpreter must capture at
-# least 3x faster than the reference route, the streaming exhaustive
-# tune must beat the capture-to-disk round trip by at least 2x, and the
-# parallel sweep must sustain 5e9 aggregate rec/s (multi-core hosts only).
-# Skipped when the main build tree is sanitized (throughput is not
-# comparable) or python3 is unavailable.
+# Bench gates: each of the five gated benches writes a fresh snapshot
+# (--out) and one scripts/bench_check.py pass compares all five with the
+# committed BENCH_*.json files. Every bound and floor comes from the
+# committed file: rates within 20%, deterministic counts and energies
+# exact, and the ratio floors each bench's source sets (capture >= 3x,
+# streaming >= 2x, parallel bank >= 2x, serving scaling >= 2x,
+# clean-under-chaos >= 0.8x, scaled sweep >= 5x on two workloads, and the
+# phase energy, sweep-reduction and classifier-overhead floors); a floor
+# with min_cpus is skipped on a host with fewer cpus. Every pair is
+# checked before the pass fails. Skipped when the main build tree is
+# sanitized (throughput is not comparable) or python3 is unavailable.
 SAN=$(grep -E '^STCACHE_SANITIZE:' build/CMakeCache.txt | cut -d= -f2)
 if [ -n "$SAN" ]; then
   echo "[bench_check] skipped: build/ is sanitized (STCACHE_SANITIZE=$SAN)"
 elif ! command -v python3 > /dev/null 2>&1; then
   echo "[bench_check] skipped: python3 not available"
 else
-  ./build/bench/bench_replay_throughput --out /tmp/stcache_bench_replay.json > /dev/null
-  python3 scripts/bench_check.py BENCH_replay.json /tmp/stcache_bench_replay.json
-  # Serving gate: single/aggregate serving throughput vs the committed
-  # BENCH_serving.json, plus the >= 2x aggregate-over-single scaling floor
-  # (enforced only on multi-core hosts; one CPU cannot run two sweep
-  # workers faster than one).
-  ./build/bench/bench_serving --out /tmp/stcache_bench_serving.json > /dev/null
-  python3 scripts/bench_check.py BENCH_serving.json /tmp/stcache_bench_serving.json --mode serving
-  # Resilience gate: clean-tenant throughput with a fault-injecting
-  # neighbor vs the committed BENCH_serving_resilience.json, plus the
-  # >= 0.8x clean-under-chaos floor (enforced only on multi-core hosts;
-  # on one CPU the neighbor steals cycles, not just service capacity).
-  ./build/bench/bench_serving_resilience --out /tmp/stcache_bench_resilience.json > /dev/null
-  python3 scripts/bench_check.py BENCH_serving_resilience.json /tmp/stcache_bench_resilience.json --mode resilience
-  # Scaled-space sweep gate: the generalized oneshot bank must sweep the
-  # full embedded_32k space at least 5x faster than per-config fast sims
-  # on at least two workloads (STCACHE_SCALED_MIN overrides the floor;
-  # serial kernel-vs-kernel, so it arms even on one core), and the
-  # oneshot rate must stay within tolerance of the committed
-  # BENCH_scaled.json.
-  ./build/bench/bench_scaled_space --out /tmp/stcache_bench_scaled.json > /dev/null
-  python3 scripts/bench_check.py BENCH_scaled.json /tmp/stcache_bench_scaled.json --mode scaled
-  # Phase-adaptive gate: energy within 10% of the per-phase oracle on at
-  # least two phase-mixed scenarios while beating the static Fig. 6
-  # config, >= 3x fewer full sweeps than naive per-phase re-tuning, and
-  # classifier overhead <= 5% of the streaming sweep (serial paired legs,
-  # so it arms even on one core; STCACHE_PHASE_* override the floors).
-  ./build/bench/bench_phase_adaptive --out /tmp/stcache_bench_phase.json > /dev/null
-  python3 scripts/bench_check.py BENCH_phase.json /tmp/stcache_bench_phase.json --mode phase
+  SNAPDIR=$(mktemp -d /tmp/stcsnapXXXXXX)
+  ./build/bench/bench_replay_throughput --out "$SNAPDIR/replay.json" > /dev/null
+  ./build/bench/bench_serving --out "$SNAPDIR/serving.json" > /dev/null
+  ./build/bench/bench_serving_resilience --out "$SNAPDIR/resilience.json" > /dev/null
+  ./build/bench/bench_scaled_space --out "$SNAPDIR/scaled.json" > /dev/null
+  ./build/bench/bench_phase_adaptive --out "$SNAPDIR/phase.json" > /dev/null
+  GATE=0
+  python3 scripts/bench_check.py \
+    BENCH_replay.json "$SNAPDIR/replay.json" \
+    BENCH_serving.json "$SNAPDIR/serving.json" \
+    BENCH_serving_resilience.json "$SNAPDIR/resilience.json" \
+    BENCH_scaled.json "$SNAPDIR/scaled.json" \
+    BENCH_phase.json "$SNAPDIR/phase.json" || GATE=$?
+  rm -rf "$SNAPDIR"
+  [ "$GATE" -eq 0 ] || exit "$GATE"
 fi
 
+# Every bench binary, bare: tables to bench_output.txt. A bench writes a
+# snapshot only when given --out, so this loop leaves BENCH_*.json alone.
 : > bench_output.txt
 for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
