@@ -4,7 +4,8 @@
 # at the repository root (the files EXPERIMENTS.md numbers come from).
 #
 #   ./repro.sh           full pipeline (build, all tests, TSan sweep+bank
-#                        threading+stream+serving+chaos+phase tests,
+#                        threading+stream+serving+chaos+phase tests and
+#                        the kernel-registry race,
 #                        ASan/UBSan fault+trace-reader+bank threading
 #                        +interpreter+crc32+serving+wire+chaos+phase
 #                        +synthetic+search tests, the one bench gate
@@ -14,7 +15,8 @@
 #                        threaded daemon) and phase-timeline determinism
 #                        gates, every bench binary)
 #   ./repro.sh --quick   build + the parallel-sweep, streaming and serving
-#                        tests (native, TSan, one chaos campaign) + the
+#                        tests (native, TSan, one chaos campaign; the
+#                        kernel-registry race under TSan) + the
 #                        fault-injection, trace-reader (every
 #                        single-byte mutant, a 2 M-record RSS pass),
 #                        replay-equivalence, stack-sweep, bank-threading,
@@ -25,7 +27,8 @@
 #                        tuner FSMD and stepper; native and ASan/UBSan)
 #                        + --jobs/--sweep-jobs determinism checks on
 #                        bench_fig3 and stcache_tune, the trace-file vs
-#                        workload-mode cmp, the --space and --phases cmps
+#                        workload-mode cmps (--exhaustive and --space),
+#                        the --space and --phases cmps
 #                        across --sweep-jobs values, + the daemon-vs-
 #                        in-process serving cmp (serial and threaded
 #                        daemon); minutes, not the full regeneration
@@ -50,7 +53,7 @@ cmake --build build -j "$(nproc)"
 # sharded N-producer queues and the tuning server (accept thread, reader
 # threads, shard workers, client threads) join them for the same reason.
 cmake -B build-tsan -S . -DSTCACHE_SANITIZE=thread > /dev/null
-cmake --build build-tsan -j "$(nproc)" --target thread_pool_test sweep_runner_test sharded_sweep_test stream_test shard_queue_test serving_test serving_resilience_test phase_test
+cmake --build build-tsan -j "$(nproc)" --target thread_pool_test sweep_runner_test sharded_sweep_test stream_test shard_queue_test serving_test serving_resilience_test phase_test workloads_test
 ./build-tsan/tests/thread_pool_test
 ./build-tsan/tests/sweep_runner_test
 # A threaded bank hands each feed's line-size groups to pool workers that
@@ -74,6 +77,9 @@ RESILIENCE_FILTER=
 # under TSan so the sweep handoff stays clean when the tuner owns the
 # threads.
 ./build-tsan/tests/phase_test
+# find_workload builds a kernel on its first lookup from any thread; eight
+# threads race that first build, which must happen once.
+./build-tsan/tests/workloads_test --gtest_filter=Workloads.RacingFirstLookupsBuildOneKernel
 
 # The fault-injection, trace-format, replay-equivalence and stack-sweep
 # tests run under Address/UB sanitizers too: they exercise bit-level
@@ -171,7 +177,7 @@ stop_serving_daemon() {
 }
 serve_cmp() {
     ./build/tools/stcache_tunec --socket "$STC_SOCK" --workload "$1" "$2" > /tmp/stcache_serve_remote.txt
-    ./build/tools/stcache_tune --workload "$1" "$2" --exhaustive > /tmp/stcache_serve_local.txt
+    ./build/tools/stcache_tune --workload "$1" "$2" --exhaustive --sweep-jobs 1 > /tmp/stcache_serve_local.txt
     cmp /tmp/stcache_serve_remote.txt /tmp/stcache_serve_local.txt
 }
 
@@ -184,8 +190,10 @@ if [ "$QUICK" = "1" ]; then
     ./build/bench/bench_fig3_icache_space --jobs "$(nproc)" > /tmp/stcache_fig3_jn.txt
     cmp /tmp/stcache_fig3_j1.txt /tmp/stcache_fig3_jn.txt
     # Baseline for the tune gates below: the serial workload-mode
-    # exhaustive tune (capture streamed into the bank).
-    ./build/tools/stcache_tune --workload crc --exhaustive > /tmp/stcache_tune_stream.txt
+    # exhaustive tune (capture streamed into the bank). stcache_tune's
+    # bank defaults to the host's cores, so every baseline pins
+    # --sweep-jobs 1.
+    ./build/tools/stcache_tune --workload crc --exhaustive --sweep-jobs 1 > /tmp/stcache_tune_stream.txt
     # --sweep-jobs gate: the threaded bank must reproduce the serial
     # exhaustive tune byte for byte; 2 threads share three line-size
     # groups, 4 and 7 clamp to one thread per group.
@@ -195,22 +203,24 @@ if [ "$QUICK" = "1" ]; then
     done
     # Trace-file gate: the file reader, serial and with a threaded bank,
     # must reproduce the workload-mode run of the same stream byte for
-    # byte.
+    # byte, for the platform bank and for the streamed --space bank.
     ./build/tools/stcache_trace capture crc /tmp/stcache_repro.stct
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive > /tmp/stcache_tune_file.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --sweep-jobs 1 > /tmp/stcache_tune_file.txt
     cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_file.txt
     ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_file.txt
     cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_file.txt
+    ./build/tools/stcache_tune --workload crc I --space embedded --sweep-jobs 1 > /tmp/stcache_tune_space.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct I --space embedded > /tmp/stcache_tune_file.txt
+    cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_file.txt
     rm -f /tmp/stcache_repro.stct
     # Scaled-space gate: the generalized sweep's --space report must be
     # byte-identical across --sweep-jobs values.
-    ./build/tools/stcache_tune --workload crc I --space embedded > /tmp/stcache_tune_space.txt
     ./build/tools/stcache_tune --workload crc I --space embedded --sweep-jobs 4 > /tmp/stcache_tune_space_v.txt
     cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_space_v.txt
     # Phase-timeline gate: the per-phase tuning timeline (verdicts,
     # configs, distances) must be byte-identical across --sweep-jobs values
     # on a phase-mixed scenario.
-    ./build/tools/stcache_tune --phases squarewave > /tmp/stcache_tune_phase.txt
+    ./build/tools/stcache_tune --phases squarewave --sweep-jobs 1 > /tmp/stcache_tune_phase.txt
     ./build/tools/stcache_tune --phases squarewave --sweep-jobs 4 > /tmp/stcache_tune_phase_v.txt
     cmp /tmp/stcache_tune_phase.txt /tmp/stcache_tune_phase_v.txt
     # Serving gate: a daemon round trip must be byte-identical too, with
@@ -230,18 +240,23 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 # --sweep-jobs and trace-file determinism gates: thread counts (7 clamps
 # to the three line-size groups), the file reader, and the file reader with
 # a threaded bank must all reproduce the serial workload-mode output byte
-# for byte.
+# for byte. stcache_tune's bank defaults to the host's cores, so every
+# baseline pins --sweep-jobs 1. The file reader's streamed --space report
+# must match the workload mode's too.
 for wl in crc ucbqsort; do
   for streamsel in I D; do
-    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive > /tmp/stcache_tune_serial.txt
+    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive --sweep-jobs 1 > /tmp/stcache_tune_serial.txt
     for sj in 2 4 7; do
       ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive --sweep-jobs "$sj" > /tmp/stcache_tune_sj.txt
       cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_sj.txt
     done
     ./build/tools/stcache_trace capture "$wl" /tmp/stcache_repro.stct
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive > /tmp/stcache_tune_file.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --sweep-jobs 1 > /tmp/stcache_tune_file.txt
     cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_file.txt
     ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_file.txt
+    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_file.txt
+    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space embedded --sweep-jobs 1 > /tmp/stcache_tune_serial.txt
+    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --space embedded > /tmp/stcache_tune_file.txt
     cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_file.txt
     rm -f /tmp/stcache_repro.stct
   done
@@ -253,12 +268,12 @@ echo "[repro] --sweep-jobs and trace-file tune determinism ok"
 # byte-identical across --sweep-jobs values, each in a fresh process.
 for wl in crc ucbqsort; do
   for streamsel in I D; do
-    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space embedded > /tmp/stcache_tune_space.txt
+    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space embedded --sweep-jobs 1 > /tmp/stcache_tune_space.txt
     for sj in 2 4; do
       ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space embedded --sweep-jobs "$sj" > /tmp/stcache_tune_space_v.txt
       cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_space_v.txt
     done
-    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space desktop > /tmp/stcache_tune_space.txt
+    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space desktop --sweep-jobs 1 > /tmp/stcache_tune_space.txt
     ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space desktop --sweep-jobs 4 > /tmp/stcache_tune_space_v.txt
     cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_space_v.txt
   done
@@ -271,7 +286,7 @@ echo "[repro] scaled-space tune determinism ok"
 # stream offsets and bank stats are bit-identical, so any divergence is a
 # real bug, not jitter).
 for scen in squarewave taskset datamix; do
-  ./build/tools/stcache_tune --phases "$scen" > /tmp/stcache_tune_phase.txt
+  ./build/tools/stcache_tune --phases "$scen" --sweep-jobs 1 > /tmp/stcache_tune_phase.txt
   for sj in 2 4; do
     ./build/tools/stcache_tune --phases "$scen" --sweep-jobs "$sj" > /tmp/stcache_tune_phase_v.txt
     cmp /tmp/stcache_tune_phase.txt /tmp/stcache_tune_phase_v.txt

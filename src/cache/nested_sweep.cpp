@@ -105,32 +105,40 @@ void NestedSweepSim::replay(std::span<const std::uint32_t> packed) {
   if (packed.size() > 0xFFFF'FFFFull - tick_) {
     fail("NestedSweepSim: stream exceeds the 32-bit tick budget");
   }
+  // Tick, write count and repeat hits live in locals and are folded back
+  // once per call: as members, every record would load and store them.
+  std::uint32_t tick = tick_;
+  std::uint64_t writes = 0;
+  std::uint64_t repeats = 0;
   for (const std::uint32_t word : packed) {
     const bool is_write = (word & kPackedWriteBit) != 0;
     const std::uint32_t line = (word & kPackedBlockMask) >> line_log_;
     const std::uint32_t g = line & gmask_;
-    ++tick_;
-    ++n_;
-    writes_ += is_write;
+    ++tick;
+    writes += is_write;
     if (line == last_line_[g]) {
       // The group's most recent line is the most recent of every nested
       // set it occupies: depth 0 (a hit) at all levels, no evictions, no
       // epochs ending. Only a write touches the dirty masks.
       const std::uint32_t e = g * cap_ + last_idx_[g];
-      ++repeat_hits_;
-      last_[e] = tick_;
+      ++repeats;
+      last_[e] = tick;
       if (is_write) {
         std::uint64_t* const d = &dirty_[static_cast<std::size_t>(e) * nlev_];
         for (std::uint32_t l = 0; l < nlev_; ++l) d[l] = levels_[l].full;
       }
       continue;
     }
-    slow(line, g, is_write);
+    slow(line, g, is_write, tick);
   }
+  tick_ = tick;
+  n_ += packed.size();
+  writes_ += writes;
+  repeat_hits_ += repeats;
 }
 
 void NestedSweepSim::slow(const std::uint32_t line, const std::uint32_t g,
-                          const bool is_write) {
+                          const bool is_write, const std::uint32_t tick) {
   const std::uint32_t seg = g * cap_;
   std::uint32_t cnt = count_[g];
 
@@ -229,7 +237,7 @@ void NestedSweepSim::slow(const std::uint32_t line, const std::uint32_t g,
     }
   }
   res_[seg + x] = all_mask_;
-  last_[seg + x] = tick_;
+  last_[seg + x] = tick;
 
   // Swap-remove entries evicted from their last level; the accessed line
   // is resident everywhere, so it survives (but may move).

@@ -109,7 +109,10 @@ class NestedSweepSim {
 
   static constexpr std::uint32_t kNone = 0xFFFF'FFFFu;
 
-  void slow(std::uint32_t line, std::uint32_t g, bool is_write);
+  // Kept out of line: inlined into replay(), its register pressure spills
+  // the record loop's locals (cursor, tick, counters) to the stack.
+  [[gnu::noinline]] void slow(std::uint32_t line, std::uint32_t g,
+                              bool is_write, std::uint32_t tick);
   const Level& level_of(const CacheGeometry& g) const;
 
   TimingParams timing_;

@@ -38,11 +38,14 @@ struct Workload {
   std::uint32_t expected_checksum = 0;
 };
 
-// The 19 kernels, in the paper's Table 1 order (13 Powerstone, then 6
-// MediaBench).
+// The 19 kernels, in the paper's Table 1 order (13 Powerstone, 6
+// MediaBench). Building a kernel generates its source and computes its
+// reference checksum, so the first call builds all 19.
 const std::vector<Workload>& all_workloads();
 
-// Look up one workload by name; throws stcache::Error if unknown.
+// Look up one workload by name, building only that kernel, on its first
+// lookup from any thread; every lookup of a name returns the same object.
+// Throws stcache::Error if unknown (no kernel is built).
 const Workload& find_workload(const std::string& name);
 
 // Assemble and execute `w` against a perfect memory, verifying the

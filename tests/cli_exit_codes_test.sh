@@ -2,6 +2,8 @@
 # Exit-code contract of the CLI tools, exercised end to end:
 #   0 = success, 1 = runtime error (one-line "error: ..." on stderr),
 #   2 = usage / bad arguments, 3 = stcache_tunec could not connect.
+# It also checks that stcache_tune's streamed --space report is the same
+# bytes from a file and from an in-process capture, serial or threaded.
 # Invoked by ctest as:
 #   cli_exit_codes_test.sh <stcache_tune> <stcache_trace> <stcache_asm> \
 #                          <stcache_tuned> <stcache_tunec>
@@ -101,6 +103,38 @@ expect 1 "tune on two concatenated traces" "$TUNE" "$TWICE"
 expect 1 "tune on a file with appended bytes" "$TUNE" "$APPENDED"
 expect 1 "tune with unwritable metrics path" \
     "$TUNE" "$GOOD" --exhaustive --metrics-out /nonexistent/dir/m.json
+
+# --space folds each decoded (file) or captured (--workload) chunk into its
+# geometry bank as it arrives. The report must not depend on where the
+# chunks come from, nor on the threads the bank's line-size groups run on
+# (the default, the host's cores, or --sweep-jobs 1).
+# expect_stdout <reference> <description> <cmd...>: cmd exits 0 and prints
+# exactly the reference's bytes.
+expect_stdout() {
+    ref=$1
+    desc=$2
+    shift 2
+    "$@" >"$TMPDIR/out" 2>"$TMPDIR/err"
+    got=$?
+    if [ "$got" -ne 0 ] || [ ! -s "$ref" ] || ! cmp -s "$ref" "$TMPDIR/out"; then
+        echo "FAIL: $desc: exit $got, or stdout differs from the reference" >&2
+        sed 's/^/  stderr: /' "$TMPDIR/err" >&2
+        failures=$((failures + 1))
+        return
+    fi
+    echo "ok: $desc"
+}
+for sel in I D; do
+    REF="$TMPDIR/space_$sel.txt"
+    "$TUNE" --workload crc "$sel" --space embedded --sweep-jobs 1 \
+        >"$REF" 2>/dev/null
+    expect_stdout "$REF" "tune --space workload mode, default threads ($sel)" \
+        "$TUNE" --workload crc "$sel" --space embedded
+    expect_stdout "$REF" "tune --space file mode, serial ($sel)" \
+        "$TUNE" "$GOOD" "$sel" --space embedded --sweep-jobs 1
+    expect_stdout "$REF" "tune --space file mode, default threads ($sel)" \
+        "$TUNE" "$GOOD" "$sel" --space embedded
+done
 
 # Numeric flags are parsed strictly (whole token, no sign, bounded), with
 # the same "invalid value for FLAG" diagnostic the serving tools print.

@@ -5,7 +5,11 @@
 // correct executions of real programs.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <latch>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "isa/assembler.hpp"
 #include "util/error.hpp"
@@ -68,6 +72,40 @@ TEST(Workloads, NamesAreUnique) {
 TEST(Workloads, LookupByName) {
   EXPECT_EQ(find_workload("crc").name, "crc");
   EXPECT_THROW(find_workload("nope"), Error);
+}
+
+TEST(Workloads, EveryRegisteredNameResolvesToOneKernel) {
+  for (const Workload& w : all_workloads()) {
+    const Workload& found = find_workload(w.name);
+    EXPECT_EQ(found.name, w.name);
+    EXPECT_EQ(found.expected_checksum, w.expected_checksum);
+    EXPECT_EQ(&find_workload(w.name), &found) << w.name;
+  }
+}
+
+TEST(Workloads, RacingFirstLookupsBuildOneKernel) {
+  // ctest runs each test in its own process, so this is the kernel's first
+  // lookup: eight threads race its one build (repro.sh also runs this case
+  // under ThreadSanitizer).
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<const Workload*> found(kThreads, nullptr);
+  std::vector<std::uint32_t> checksums(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      found[t] = &find_workload("mpeg2");
+      checksums[t] = found[t]->expected_checksum;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(found[t], found[0]);
+    EXPECT_EQ(checksums[t], checksums[0]);
+  }
+  EXPECT_EQ(found[0]->name, "mpeg2");
+  EXPECT_NE(checksums[0], 0u);
 }
 
 TEST(Workloads, InstructionFootprintsAreDiverse) {

@@ -13,16 +13,20 @@
 // the 27-point optimum and the heuristic's gap are printed as well. The
 // file mode streams the trace through PackedTraceReader (64 Ki-record
 // chunks read into one reused buffer and decoded into reused packed
-// streams): an exhaustive sweep folds each decoded chunk straight into the
-// configuration bank, so a trace far larger than memory runs in a bounded
-// footprint, and the heuristic materializes the selected stream chunk by
-// chunk. The workload mode never touches disk: the fast interpreter runs
-// on a capture thread and each packed chunk is folded into the exhaustive
-// configuration bank as it is produced, so capture and sweep overlap.
-// Stdout is byte-identical across file/workload modes and --sweep-jobs
-// values for the same trace (--sweep-jobs runs the bank's line-size
-// groups on threads, each group's result its serial result; see
-// trace/replay.hpp).
+// streams); the workload mode never touches disk: the fast interpreter
+// runs on a capture thread and publishes packed chunks. Either way,
+// --exhaustive and --space fold each chunk straight into their bank as it
+// arrives, so capture (or decoding) overlaps the sweep and a trace far
+// larger than memory runs in a bounded footprint; only the heuristic
+// materializes the selected stream, because its walk replays just the
+// configurations it visits. Stdout is byte-identical across file/workload
+// modes and --sweep-jobs values for the same trace (--sweep-jobs runs the
+// bank's line-size groups on threads, each group's result its serial
+// result; see trace/replay.hpp). The default is the host's cores, clamped
+// to the group count (3 for the platform bank, 4 for a scaled space):
+// unlike the benches' --jobs pools and the daemon's workers, which keep
+// the library's serial default, one tune is one sweep job, so no outer
+// pool composes with the bank's threads. --sweep-jobs 1 runs serially.
 //
 // --phases SCENARIO runs the phase-adaptive tuner (src/phase) on a named
 // phase-mixed scenario (squarewave|taskset|datamix, captured
@@ -39,11 +43,12 @@
 //
 // --space embedded|desktop switches from the paper's 27-point platform to
 // a ScaledSpace (64 generic geometries): every configuration is measured
-// in one bank pass — one nested stack-distance traversal per line-size
-// family — and both the ascending-greedy heuristic and the exhaustive
-// optimum are reported from the same measured bank. The per-config table
-// prints raw integer hit/miss/writeback counts, so a one-bit divergence
-// between --sweep-jobs values breaks the byte-identity cmp.
+// in one streamed bank pass — one nested stack-distance traversal per
+// line-size family — and both the ascending-greedy heuristic and the
+// exhaustive optimum are reported from the same measured bank. The
+// per-config table prints raw integer hit/miss/writeback counts, so a
+// one-bit divergence between --sweep-jobs values breaks the byte-identity
+// cmp.
 //
 // Numeric flags are parsed strictly (whole token, no sign): --scale takes
 // a positive integer and --sweep-jobs 1..32; anything else exits 2. Sweep
@@ -55,6 +60,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -79,7 +85,7 @@ int usage() {
   std::cerr << "usage: stcache_tune <file.stct | --workload NAME | "
                "--phases SCENARIO> [I|D] "
                "[--exhaustive] [--space embedded|desktop] "
-               "[--naive] [--scale N] [--sweep-jobs N] "
+               "[--naive] [--scale N] [--sweep-jobs N (default: cores)] "
                "[--metrics-out file.json] [--metrics]\n";
   return 2;
 }
@@ -133,6 +139,10 @@ void print_scaled_report(std::ostream& os, const std::string& space_name,
 
 int run(int argc, char** argv) {
   if (argc < 2) return usage();
+  // One tune maps one job (below), so no outer pool composes with the
+  // bank's threads: by default its line-size groups get the host's cores
+  // (clamped to 1..32, then to the group count). --sweep-jobs overrides.
+  set_default_sweep_jobs(std::thread::hardware_concurrency());
   std::string path;
   std::string workload_name;
   std::string phases_name;
@@ -222,9 +232,12 @@ int run(int argc, char** argv) {
   // Each mode maps one job, so the runner only times it and counts its
   // accesses; --sweep-jobs is what threads the bank inside that job.
   SweepRunner runner(SweepOptions{1});
-  // --space replaces the platform sweep entirely: it measures its own bank
-  // over the materialized stream.
-  const bool platform_exhaustive = exhaustive && space_name.empty();
+  // --space replaces the platform bank with its own geometry bank.
+  std::optional<ScaledSpace> space;
+  if (!space_name.empty()) {
+    space.emplace(space_name == "embedded" ? ScaledSpace::embedded_32k()
+                                           : ScaledSpace::desktop_64k());
+  }
 
   // The selected stream, packed (bit 31 = write, bits 30..0 = 16 B block),
   // chunk by chunk from the capture thread or the file reader. No
@@ -248,30 +261,37 @@ int run(int argc, char** argv) {
     }
   };
 
-  // The heuristic and --space evaluate against the materialized stream; an
-  // exhaustive platform sweep instead folds each chunk into the bank as it
-  // arrives (one sweep job, overlapping the producer), so the stream is
-  // never materialized and only its record count survives for the report.
+  // --exhaustive and --space fold each chunk into their bank as it arrives
+  // (one sweep job, overlapping the producer), so the stream is never
+  // materialized and only its record count survives for the report. The
+  // two differ only in the bank: the 27 platform configs, or the space's
+  // geometries. Only the Fig. 6 heuristic materializes the stream, because
+  // its walk replays just the configs it visits.
   std::vector<std::uint32_t> sel;
   std::uint64_t sel_count = 0;
   std::vector<CacheStats> measured;
-  if (platform_exhaustive) {
+  const bool banked = exhaustive || space;
+  if (banked) {
     measured =
         runner
             .map<std::vector<CacheStats>>(
                 1,
                 [&](std::size_t) {
-                  BankAccumulator bank(configs);
+                  BankAccumulator bank = space
+                                             ? BankAccumulator(space->configs())
+                                             : BankAccumulator(configs);
                   for_each_chunk([&](std::span<const std::uint32_t> words) {
                     bank.feed(words);
                   });
                   sel_count = bank.words_fed();
-                  runner.add_accesses(sel_count * configs.size());
-                  return bank.stats();
+                  std::vector<CacheStats> stats = bank.stats();
+                  runner.add_accesses(sel_count * stats.size());
+                  return stats;
                 },
                 [&](std::size_t) {
-                  return (workload ? workload_name : path) +
-                         ": streamed sweep";
+                  return (workload ? workload_name : path) + ": " +
+                         (space ? space_name + " space" : "platform") +
+                         " streamed sweep";
                 })
             .front();
   } else {
@@ -288,38 +308,21 @@ int run(int argc, char** argv) {
     return 1;
   }
 
-  if (!space_name.empty()) {
-    const ScaledSpace space = space_name == "embedded"
-                                  ? ScaledSpace::embedded_32k()
-                                  : ScaledSpace::desktop_64k();
-    // One bank pass over the packed stream measures all 64 geometries,
-    // one nested stack-distance traversal per line-size family, threaded
-    // by --sweep-jobs through the process default; stdout depends only on
-    // the measured counts, which are bit-identical across thread counts.
-    std::vector<CacheStats> sstats;
-    runner.map<int>(
-        1,
-        [&](std::size_t) {
-          runner.add_accesses(sel.size() * space.total_configs());
-          sstats = measure_geometry_bank(space.configs(), sel);
-          return 0;
-        },
-        [&](std::size_t) { return space_name + " scaled space"; });
-    runner.print_metrics(std::cerr);
-    runner.write_metrics_json(metrics_out);
-    print_scaled_report(std::cout, space_name, instruction, sel_count, space,
-                        sstats, model);
-    return 0;
-  }
-
-  if (exhaustive) {
+  if (banked) {
     runner.print_metrics(std::cerr);
     runner.write_metrics_json(metrics_out);
     // The measured bank covers every configuration either search visits,
-    // so the shared renderer replays nothing — stcache_tunec renders the
-    // daemon's VERDICT through the same function, byte-identically.
-    print_exhaustive_report(std::cout, instruction, sel_count, configs,
-                            measured, model);
+    // so the renderers replay nothing — stcache_tunec renders the daemon's
+    // VERDICT through print_exhaustive_report, byte-identically. Stdout
+    // depends only on the measured counts, which are bit-identical across
+    // thread counts.
+    if (space) {
+      print_scaled_report(std::cout, space_name, instruction, sel_count,
+                          *space, measured, model);
+    } else {
+      print_exhaustive_report(std::cout, instruction, sel_count, configs,
+                              measured, model);
+    }
     return 0;
   }
 
