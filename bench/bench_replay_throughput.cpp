@@ -1,9 +1,8 @@
-// bench_replay_throughput — differential throughput of the three replay
+// bench_replay_throughput — differential throughput of the two replay
 // kernels on the exhaustive 27-configuration bank sweep (the reference
-// ConfigurableCache, the per-configuration FastCacheSim, and the
-// BankAccumulator's single-pass "oneshot" stack sweep), of the two
-// interpreters on trace capture, and of the streaming pipeline against the
-// capture-to-disk round trip.
+// ConfigurableCache and the BankAccumulator's single-pass "oneshot" stack
+// sweep), of the two interpreters on trace capture, and of the streaming
+// pipeline against the capture-to-disk round trip.
 //
 // Usage: bench_replay_throughput [--reps N] [--max-records N]
 //                                [--out file.json]
@@ -11,7 +10,7 @@
 // Replay section: for each workload, the 27 legal configurations are
 // grouped into specialization classes by (ways, way prediction) — 1W:9,
 // 2W:6, 2W_P:6, 4W:3, 4W_P:3 — and each class's bank sweep is timed with
-// all three kernels (best of --reps runs; default 3). The exhaustive row
+// both kernels (best of --reps runs; default 3). The exhaustive row
 // ("all") is timed DIRECTLY as one 27-configuration bank, not summed from
 // the class rows: the oneshot sweep shares one stack-distance traversal
 // per line size across every specialization class, so a class-major sum
@@ -66,7 +65,6 @@
 
 #include "common.hpp"
 #include "cache/configurable_cache.hpp"
-#include "cache/fast_cache.hpp"
 #include "cache/packed.hpp"
 #include "isa/assembler.hpp"
 #include "sim/cpu.hpp"
@@ -116,11 +114,11 @@ double best_of(unsigned reps, F&& body) {
   return best;
 }
 
-// The three bank sweeps over an already-packed stream. The reference
+// The two bank sweeps over an already-packed stream. The reference
 // interleaves every ConfigurableCache over one pass of the words (block
 // << 4 restores a 16 B-aligned address, which no 16 B-or-wider geometry
-// distinguishes from the original); the fast sweep replays one FastCacheSim
-// per configuration; the oneshot sweep is the production BankAccumulator.
+// distinguishes from the original); the oneshot sweep is the production
+// BankAccumulator.
 std::vector<CacheStats> reference_bank(const std::vector<CacheConfig>& configs,
                                        std::span<const std::uint32_t> packed) {
   std::vector<ConfigurableCache> bank;
@@ -133,17 +131,6 @@ std::vector<CacheStats> reference_bank(const std::vector<CacheConfig>& configs,
   }
   std::vector<CacheStats> stats;
   for (const ConfigurableCache& cache : bank) stats.push_back(cache.stats());
-  return stats;
-}
-
-std::vector<CacheStats> fast_bank(const std::vector<CacheConfig>& configs,
-                                  std::span<const std::uint32_t> packed) {
-  std::vector<FastCacheSim> bank(configs.begin(), configs.end());
-  std::vector<CacheStats> stats;
-  for (FastCacheSim& sim : bank) {
-    sim.replay(packed);
-    stats.push_back(sim.stats());
-  }
   return stats;
 }
 
@@ -177,7 +164,7 @@ std::string fmt(double v) {
 
 // One timed sweep per kernel.
 struct EngineTimes {
-  double ref = 0.0, fast = 0.0, oneshot = 0.0;
+  double ref = 0.0, oneshot = 0.0;
 };
 
 EngineTimes time_all_engines(const std::vector<CacheConfig>& configs,
@@ -185,7 +172,6 @@ EngineTimes time_all_engines(const std::vector<CacheConfig>& configs,
                              unsigned reps) {
   EngineTimes t;
   t.ref = time_bank(configs, packed, reps, reference_bank);
-  t.fast = time_bank(configs, packed, reps, fast_bank);
   t.oneshot = time_bank(configs, packed, reps, oneshot_bank);
   return t;
 }
@@ -337,8 +323,8 @@ int run(int argc, char** argv) {
   }
 
   const std::vector<std::string> workload_set = {"crc", "bcnt", "ucbqsort"};
-  Table table({"workload", "class", "configs", "reference rec/s", "fast rec/s",
-               "oneshot rec/s", "fast/ref", "oneshot/fast"});
+  Table table({"workload", "class", "configs", "reference rec/s",
+               "oneshot rec/s", "oneshot/ref"});
 
   // Capture and pack each stream once, before any timing: the replay and
   // parallel sections consume the packed merged trace.
@@ -360,9 +346,8 @@ int run(int argc, char** argv) {
       const double recs = static_cast<double>(packed.size()) *
                           static_cast<double>(cfgs.size());
       table.add_row({name, cls, std::to_string(cfgs.size()),
-                     fmt(recs / t.ref), fmt(recs / t.fast),
-                     fmt(recs / t.oneshot), fmt(t.ref / t.fast),
-                     fmt(t.fast / t.oneshot)});
+                     fmt(recs / t.ref), fmt(recs / t.oneshot),
+                     fmt(t.ref / t.oneshot)});
     }
 
     // The exhaustive sweep, timed as one bank (this is where cross-class
@@ -370,22 +355,16 @@ int run(int argc, char** argv) {
     const EngineTimes wl = time_all_engines(all_configs(), packed, opts.reps);
     const double wl_recs = static_cast<double>(packed.size()) * 27.0;
     table.add_row({name, "all", "27", fmt(wl_recs / wl.ref),
-                   fmt(wl_recs / wl.fast), fmt(wl_recs / wl.oneshot),
-                   fmt(wl.ref / wl.fast), fmt(wl.fast / wl.oneshot)});
+                   fmt(wl_recs / wl.oneshot), fmt(wl.ref / wl.oneshot)});
     total.ref += wl.ref;
-    total.fast += wl.fast;
     total.oneshot += wl.oneshot;
     stream_records += packed.size();
   }
 
   const double recs = static_cast<double>(stream_records) * 27.0;
   table.add_row({"OVERALL", "all", "27", fmt(recs / total.ref),
-                 fmt(recs / total.fast), fmt(recs / total.oneshot),
-                 fmt(total.ref / total.fast), fmt(total.fast / total.oneshot)});
+                 fmt(recs / total.oneshot), fmt(total.ref / total.oneshot)});
   table.print(std::cout);
-  std::cout << "\nExhaustive 27-config bank sweep: fast vs reference "
-            << fmt(total.ref / total.fast) << "x, oneshot vs fast "
-            << fmt(total.fast / total.oneshot) << "x\n";
 
   // --- parallel: group-threaded exhaustive sweep ----------------------------
   bench::Snapshot snap("replay_throughput");
@@ -467,7 +446,6 @@ int run(int argc, char** argv) {
 
   snap.exact("records", static_cast<double>(stream_records), "records");
   snap.rate("reference_records_per_second", recs / total.ref, "rec/s");
-  snap.rate("fast_records_per_second", recs / total.fast, "rec/s");
   snap.rate("oneshot_records_per_second", recs / total.oneshot, "rec/s");
   snap.ratio("parallel.speedup", par_serial_total / par_par_total, "x");
   snap.exact("capture.instructions", cap_instr_d, "instructions");

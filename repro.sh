@@ -26,8 +26,9 @@
 #                        exhaustive, evaluators, scaled and two-level spaces,
 #                        tuner FSMD and stepper; native and ASan/UBSan)
 #                        + --jobs/--sweep-jobs determinism checks on
-#                        bench_fig3 and stcache_tune, the trace-file vs
-#                        workload-mode cmps (--exhaustive and --space),
+#                        bench_fig3 and stcache_tune (heuristic and
+#                        --exhaustive), the trace-file vs workload-mode
+#                        cmps (heuristic, --exhaustive and --space),
 #                        the --space and --phases cmps
 #                        across --sweep-jobs values, + the daemon-vs-
 #                        in-process serving cmp (serial and threaded
@@ -189,26 +190,32 @@ if [ "$QUICK" = "1" ]; then
     ./build/bench/bench_fig3_icache_space --jobs 1 > /tmp/stcache_fig3_j1.txt
     ./build/bench/bench_fig3_icache_space --jobs "$(nproc)" > /tmp/stcache_fig3_jn.txt
     cmp /tmp/stcache_fig3_j1.txt /tmp/stcache_fig3_jn.txt
-    # Baseline for the tune gates below: the serial workload-mode
-    # exhaustive tune (capture streamed into the bank). stcache_tune's
-    # bank defaults to the host's cores, so every baseline pins
-    # --sweep-jobs 1.
+    # Baselines for the tune gates below: the serial workload-mode
+    # exhaustive and heuristic tunes (capture streamed into the bank).
+    # stcache_tune's bank defaults to the host's cores, so every baseline
+    # pins --sweep-jobs 1.
     ./build/tools/stcache_tune --workload crc --exhaustive --sweep-jobs 1 > /tmp/stcache_tune_stream.txt
+    ./build/tools/stcache_tune --workload crc --sweep-jobs 1 > /tmp/stcache_tune_heur.txt
     # --sweep-jobs gate: the threaded bank must reproduce the serial
-    # exhaustive tune byte for byte; 2 threads share three line-size
-    # groups, 4 and 7 clamp to one thread per group.
+    # exhaustive and heuristic tunes byte for byte; 2 threads share three
+    # line-size groups, 4 and 7 clamp to one thread per group.
     for sj in 2 4 7; do
         ./build/tools/stcache_tune --workload crc --exhaustive --sweep-jobs "$sj" > /tmp/stcache_tune_sj.txt
         cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_sj.txt
+        ./build/tools/stcache_tune --workload crc --sweep-jobs "$sj" > /tmp/stcache_tune_sj.txt
+        cmp /tmp/stcache_tune_heur.txt /tmp/stcache_tune_sj.txt
     done
     # Trace-file gate: the file reader, serial and with a threaded bank,
     # must reproduce the workload-mode run of the same stream byte for
-    # byte, for the platform bank and for the streamed --space bank.
+    # byte, for the platform bank (exhaustive and heuristic) and for the
+    # streamed --space bank.
     ./build/tools/stcache_trace capture crc /tmp/stcache_repro.stct
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --sweep-jobs 1 > /tmp/stcache_tune_file.txt
-    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_file.txt
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_file.txt
-    cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_file.txt
+    for sj in 1 4; do
+        ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --sweep-jobs "$sj" > /tmp/stcache_tune_file.txt
+        cmp /tmp/stcache_tune_stream.txt /tmp/stcache_tune_file.txt
+        ./build/tools/stcache_tune /tmp/stcache_repro.stct --sweep-jobs "$sj" > /tmp/stcache_tune_file.txt
+        cmp /tmp/stcache_tune_heur.txt /tmp/stcache_tune_file.txt
+    done
     ./build/tools/stcache_tune --workload crc I --space embedded --sweep-jobs 1 > /tmp/stcache_tune_space.txt
     ./build/tools/stcache_tune /tmp/stcache_repro.stct I --space embedded > /tmp/stcache_tune_file.txt
     cmp /tmp/stcache_tune_space.txt /tmp/stcache_tune_file.txt
@@ -231,7 +238,7 @@ if [ "$QUICK" = "1" ]; then
     start_serving_daemon --sweep-jobs 3
     serve_cmp crc I
     stop_serving_daemon
-    echo "Quick pass done: sweep/equivalence/interpreter/serving tests (native + sanitizers), --jobs, --sweep-jobs, trace-file, --space, --phases and daemon determinism ok."
+    echo "Quick pass done: sweep/equivalence/interpreter/serving tests (native + sanitizers), --jobs, --sweep-jobs (heuristic and --exhaustive), trace-file, --space, --phases and daemon determinism ok."
     exit 0
 fi
 
@@ -240,21 +247,25 @@ ctest --test-dir build 2>&1 | tee test_output.txt
 # --sweep-jobs and trace-file determinism gates: thread counts (7 clamps
 # to the three line-size groups), the file reader, and the file reader with
 # a threaded bank must all reproduce the serial workload-mode output byte
-# for byte. stcache_tune's bank defaults to the host's cores, so every
-# baseline pins --sweep-jobs 1. The file reader's streamed --space report
-# must match the workload mode's too.
+# for byte, for --exhaustive and for the Fig. 6 heuristic, which read the
+# same streamed 27-config bank. stcache_tune's bank defaults to the host's
+# cores, so every baseline pins --sweep-jobs 1. The file reader's streamed
+# --space report must match the workload mode's too.
 for wl in crc ucbqsort; do
   for streamsel in I D; do
-    ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive --sweep-jobs 1 > /tmp/stcache_tune_serial.txt
-    for sj in 2 4 7; do
-      ./build/tools/stcache_tune --workload "$wl" "$streamsel" --exhaustive --sweep-jobs "$sj" > /tmp/stcache_tune_sj.txt
-      cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_sj.txt
-    done
     ./build/tools/stcache_trace capture "$wl" /tmp/stcache_repro.stct
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --sweep-jobs 1 > /tmp/stcache_tune_file.txt
-    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_file.txt
-    ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --sweep-jobs 4 > /tmp/stcache_tune_file.txt
-    cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_file.txt
+    for mode in --exhaustive ""; do
+      # $mode is left unquoted: the heuristic passes no mode flag at all.
+      ./build/tools/stcache_tune --workload "$wl" "$streamsel" $mode --sweep-jobs 1 > /tmp/stcache_tune_serial.txt
+      for sj in 2 4 7; do
+        ./build/tools/stcache_tune --workload "$wl" "$streamsel" $mode --sweep-jobs "$sj" > /tmp/stcache_tune_sj.txt
+        cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_sj.txt
+      done
+      for sj in 1 4; do
+        ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" $mode --sweep-jobs "$sj" > /tmp/stcache_tune_file.txt
+        cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_file.txt
+      done
+    done
     ./build/tools/stcache_tune --workload "$wl" "$streamsel" --space embedded --sweep-jobs 1 > /tmp/stcache_tune_serial.txt
     ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --space embedded > /tmp/stcache_tune_file.txt
     cmp /tmp/stcache_tune_serial.txt /tmp/stcache_tune_file.txt

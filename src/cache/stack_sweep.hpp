@@ -1,10 +1,9 @@
 // Single-pass all-configuration replay: the "oneshot" engine's kernel.
 //
 // The exhaustive experiments evaluate every size/associativity point of the
-// platform cache against the same stream. FastCacheSim (fast_cache.hpp)
-// already made each replay cheap, but a 27-configuration bank sweep still
-// traverses the stream once per configuration. The platform's index
-// functions nest — the 128-set mask (8 KB 4-way / 4 KB 2-way / 2 KB
+// platform cache against the same stream, and replaying one configuration
+// at a time traverses the stream once per configuration. The platform's
+// index functions nest — the 128-set mask (8 KB 4-way / 4 KB 2-way / 2 KB
 // direct) is a prefix of the 256-set mask (8 KB 2-way / 4 KB direct) which
 // is a prefix of the 512-set mask (8 KB direct) — and replacement is true
 // LRU with distinct ticks, so a Mattson-style stack-distance pass can
@@ -55,7 +54,7 @@
 //  * MRU memo. The first-probe bit for a predicted slot is "the accessed
 //    line was the last toucher of its set", maintained as a per-set line
 //    id (a hit touches the accessed subline's set; a fill touches every
-//    subline's set), mirroring FastCacheSim's memo argument.
+//    subline's set).
 //
 //  * Repeat fast path. Per coarse group (the 128-set mask at line
 //    granularity) the kernel remembers the last accessed block. A repeat
@@ -75,15 +74,16 @@
 //
 // Scope: write-back, victim-buffer-off, cold-start, fixed-configuration
 // replay — exactly the BankAccumulator contract (trace/replay.hpp), which
-// runs this kernel for every line-size group of two or more. Write-through
-// no-write-allocate breaks the shared-recency argument (store misses do
-// not allocate, so per-slot contents diverge from any shared stack), and a
-// victim buffer resurrects evicted lines per-slot; both stay outside the
-// bank (FastCacheSim and the reference model cover them), as does any
-// warm/reconfiguring replay (reference model only).
+// runs this kernel for every platform line-size group, a lone config (one
+// active slot) included. Write-through no-write-allocate breaks the
+// shared-recency argument (store misses do not allocate, so per-slot
+// contents diverge from any shared stack), and a victim buffer resurrects
+// evicted lines per-slot; both stay outside the bank (the reference model
+// covers them), as does any warm/reconfiguring replay (reference model
+// only).
 //
-// Equivalence is enforced the same way FastCacheSim's is: CacheStats must
-// be bit-identical to the reference for every in-scope configuration
+// Equivalence is enforced against the reference: CacheStats must be
+// bit-identical to it for every in-scope configuration
 // (tests/replay_equivalence_test.cpp, tests/stack_sweep_test.cpp).
 #pragma once
 
@@ -114,7 +114,7 @@ class StackSweepSim {
   void replay(std::span<const std::uint32_t> packed);
 
   // Stats for any configuration whose slot was activated by the
-  // constructor; bit-identical to a cold fast/reference replay.
+  // constructor; bit-identical to a cold reference replay.
   CacheStats stats(const CacheConfig& cfg) const;
   // stats(cfg) for each of `configs`, in order.
   std::vector<CacheStats> stats(std::span<const CacheConfig> configs) const;

@@ -6,7 +6,6 @@
 #include <future>
 #include <type_traits>
 
-#include "cache/fast_cache.hpp"
 #include "cache/nested_sweep.hpp"
 #include "cache/packed.hpp"
 #include "cache/stack_sweep.hpp"
@@ -48,8 +47,7 @@ class BankGroup {
 
 namespace {
 
-// The configurations of one line size (two or more on the platform): one
-// traversal.
+// The configurations of one line size, however many: one traversal.
 template <typename Desc>
 class SweepGroup final : public detail::BankGroup {
  public:
@@ -73,30 +71,6 @@ class SweepGroup final : public detail::BankGroup {
   std::vector<Desc> descs_;
   std::vector<std::size_t> where_;  // indices into the bank's stats
   SweepKernel<Desc> sim_;
-};
-
-// A line size with one platform configuration: StackSweepSim's pool layout
-// is fixed at the six slots of a line size, which makes a one-config
-// traversal 1.4-2.8x slower than the fast sim, so a lone config runs
-// FastCacheSim over every feed. (A lone geometry needs no such group: a
-// one-member NestedSweepSim costs about what a per-geometry sim would.)
-class FastGroup final : public detail::BankGroup {
- public:
-  FastGroup(const CacheConfig& config, std::size_t where,
-            const TimingParams& timing)
-      : sim_(config, timing), where_(where) {}
-
-  void replay(std::span<const std::uint32_t> packed) override {
-    sim_.replay(packed);
-  }
-
-  void collect(std::vector<CacheStats>& out) const override {
-    out[where_] = sim_.stats();
-  }
-
- private:
-  FastCacheSim sim_;
-  std::size_t where_;
 };
 
 }  // namespace
@@ -148,13 +122,6 @@ void BankAccumulator::build(std::span<const Desc> descs,
       if (line_bytes_of(descs[i]) == line) {
         group.push_back(descs[i]);
         where.push_back(i);
-      }
-    }
-    if constexpr (std::is_same_v<Desc, CacheConfig>) {
-      if (group.size() == 1) {
-        groups_.push_back(
-            std::make_unique<FastGroup>(group.front(), where.front(), timing));
-        continue;
       }
     }
     groups_.push_back(std::make_unique<SweepGroup<Desc>>(

@@ -5,14 +5,12 @@
 // configurations, each from a cold start, against a packed stream fed in
 // any number of in-order slices. A single configuration is a bank of one.
 // Per line size, the configurations run ONE single-pass stack-distance
-// traversal — NestedSweepSim (cache/nested_sweep.hpp) for every generic
-// CacheGeometry group, a lone geometry included, and StackSweepSim
-// (cache/stack_sweep.hpp) for two or more platform CacheConfigs — and a
-// lone platform config runs the fast sim (cache/fast_cache.hpp), because
-// StackSweepSim's fixed six-slot layout costs more than it shares there.
-// Every kernel is bit-identical to
-// the behavioral reference models (ConfigurableCache / CacheModel), which
-// stay the oracle: the differential suites (tests/replay_equivalence_test,
+// traversal, a lone configuration included: NestedSweepSim
+// (cache/nested_sweep.hpp) for a generic CacheGeometry group and
+// StackSweepSim (cache/stack_sweep.hpp) for a platform CacheConfig group.
+// Both kernels are bit-identical to the behavioral reference models
+// (ConfigurableCache / CacheModel), which stay the oracle: the
+// differential suites (tests/replay_equivalence_test,
 // tests/stack_sweep_test, tests/sharded_sweep_test) replay the references
 // and assert every CacheStats counter equal.
 #pragma once
@@ -65,12 +63,11 @@ CacheStats replay(ConfigurableCache& cache, std::span<const TraceRecord> stream)
 // and stats()[i] is bit-identical to a cold reference replay of configs[i]
 // over the concatenation of everything fed.
 //
-// Grouping: configurations are grouped by line size (ascending). A
-// geometry group runs one NestedSweepSim traversal; a platform group of
-// two or more runs one StackSweepSim traversal and a lone platform config
-// runs FastCacheSim. Geometry banks require valid geometries with
-// line_bytes >= 16 (packed words are 16 B blocks) and at most 64 ways;
-// the constructor throws stcache::Error otherwise.
+// Grouping: configurations are grouped by line size (ascending), and each
+// group, however small, runs one traversal: NestedSweepSim for a geometry
+// group, StackSweepSim for a platform group. Geometry banks require valid
+// geometries with line_bytes >= 16 (packed words are 16 B blocks) and at
+// most 64 ways; the constructor throws stcache::Error otherwise.
 //
 // Threads: the line-size groups share no state, so with sweep_jobs > 1
 // each feed() replays the groups on min(sweep_jobs, groups) threads — the

@@ -2,8 +2,9 @@
 # Exit-code contract of the CLI tools, exercised end to end:
 #   0 = success, 1 = runtime error (one-line "error: ..." on stderr),
 #   2 = usage / bad arguments, 3 = stcache_tunec could not connect.
-# It also checks that stcache_tune's streamed --space report is the same
-# bytes from a file and from an in-process capture, serial or threaded.
+# It also checks that stcache_tune's streamed heuristic and --space reports
+# are the same bytes from a file and from an in-process capture, serial or
+# threaded.
 # Invoked by ctest as:
 #   cli_exit_codes_test.sh <stcache_tune> <stcache_trace> <stcache_asm> \
 #                          <stcache_tuned> <stcache_tunec>
@@ -103,11 +104,42 @@ expect 1 "tune on two concatenated traces" "$TUNE" "$TWICE"
 expect 1 "tune on a file with appended bytes" "$TUNE" "$APPENDED"
 expect 1 "tune with unwritable metrics path" \
     "$TUNE" "$GOOD" --exhaustive --metrics-out /nonexistent/dir/m.json
+expect 1 "tune (heuristic) with unwritable metrics path" \
+    "$TUNE" "$GOOD" --metrics-out /nonexistent/dir/m.json
 
-# --space folds each decoded (file) or captured (--workload) chunk into its
-# geometry bank as it arrives. The report must not depend on where the
-# chunks come from, nor on the threads the bank's line-size groups run on
-# (the default, the host's cores, or --sweep-jobs 1).
+# A flag that the selected mode would ignore is a usage error, not a no-op:
+# --naive and --scale only steer --phases, and --phases picks its own
+# stream and bank. Each exits 2 with one diagnostic line. --metrics and
+# --sweep-jobs apply to every mode.
+expect_misplaced() {
+    desc=$1
+    shift
+    expect 2 "$desc" "$@"
+    if [ "$(wc -l <"$TMPDIR/err")" -ne 1 ]; then
+        echo "FAIL: $desc: expected one diagnostic line" >&2
+        sed 's/^/  stderr: /' "$TMPDIR/err" >&2
+        failures=$((failures + 1))
+    fi
+}
+expect_misplaced "tune rejects --naive without --phases" \
+    "$TUNE" --workload crc --naive
+expect_misplaced "tune rejects --scale without --phases" \
+    "$TUNE" "$GOOD" --scale 2
+# $flag is left unquoted: a flag and its value are two words.
+for flag in I D --exhaustive "--space embedded" \
+    "--metrics-out $TMPDIR/m.json"; do
+    expect_misplaced "tune rejects ${flag%% *} with --phases" \
+        "$TUNE" --phases squarewave $flag
+done
+expect 0 "tune --phases takes --metrics and --sweep-jobs" \
+    "$TUNE" --phases squarewave --metrics --sweep-jobs 2
+
+# Every mode but --phases folds each decoded (file) or captured
+# (--workload) chunk into its bank as it arrives: the 27-config platform
+# bank for the Fig. 6 heuristic and --exhaustive, a geometry bank for
+# --space. The report must not depend on where the chunks come from, nor on
+# the threads the bank's line-size groups run on (the default, the host's
+# cores, or --sweep-jobs 1).
 # expect_stdout <reference> <description> <cmd...>: cmd exits 0 and prints
 # exactly the reference's bytes.
 expect_stdout() {
@@ -134,6 +166,14 @@ for sel in I D; do
         "$TUNE" "$GOOD" "$sel" --space embedded --sweep-jobs 1
     expect_stdout "$REF" "tune --space file mode, default threads ($sel)" \
         "$TUNE" "$GOOD" "$sel" --space embedded
+    REF="$TMPDIR/heuristic_$sel.txt"
+    "$TUNE" --workload crc "$sel" --sweep-jobs 1 >"$REF" 2>/dev/null
+    expect_stdout "$REF" "tune heuristic workload mode, default threads ($sel)" \
+        "$TUNE" --workload crc "$sel"
+    expect_stdout "$REF" "tune heuristic file mode, serial ($sel)" \
+        "$TUNE" "$GOOD" "$sel" --sweep-jobs 1
+    expect_stdout "$REF" "tune heuristic file mode, default threads ($sel)" \
+        "$TUNE" "$GOOD" "$sel"
 done
 
 # Numeric flags are parsed strictly (whole token, no sign, bounded), with

@@ -1,6 +1,6 @@
 // Cold-start replays for the differential tests: the behavioral reference
 // models (ConfigurableCache / CacheModel — the oracle every kernel is
-// measured against), the platform's per-configuration fast sim, and the
+// measured against), a platform configuration measured alone, and the
 // BankAccumulator that every product path measures through.
 #pragma once
 
@@ -12,7 +12,6 @@
 #include "cache/cache_model.hpp"
 #include "cache/config.hpp"
 #include "cache/configurable_cache.hpp"
-#include "cache/fast_cache.hpp"
 #include "cache/packed.hpp"
 #include "trace/replay.hpp"
 #include "trace/trace.hpp"
@@ -62,13 +61,15 @@ inline CacheStats reference_stats(const CacheGeometry& g,
   return cache.stats();
 }
 
-// The platform's per-configuration fast sim over a packed stream.
-inline CacheStats fast_stats(const CacheConfig& cfg,
+// A platform configuration measured alone over a packed stream: a serial
+// bank of one, which runs a one-slot StackSweepSim (the path of an
+// evaluator's memo miss).
+inline CacheStats lone_stats(const CacheConfig& cfg,
                              std::span<const std::uint32_t> packed,
                              const TimingParams& timing = {}) {
-  FastCacheSim sim(cfg, timing);
-  sim.replay(packed);
-  return sim.stats();
+  BankAccumulator bank(std::span<const CacheConfig>(&cfg, 1), timing, 1);
+  bank.feed(packed);
+  return bank.stats().front();
 }
 
 // The production path: `bank` fed `packed` in slices of `chunk` words

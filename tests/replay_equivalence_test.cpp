@@ -1,15 +1,16 @@
 // Differential equivalence suite for the replay kernels.
 //
-// The platform fast sim (cache/fast_cache.hpp) and the single-pass sweep
-// kernels (cache/stack_sweep.hpp, cache/nested_sweep.hpp) behind
-// BankAccumulator are only allowed to exist because they are bit-identical
-// to the behavioral references: for every legal configuration and every
-// geometry of a scaled space, replaying the same stream must produce the
-// exact same CacheStats — every counter, not just miss rates. This is the
-// guarantee that lets every figure bench measure through the bank while
-// the paper's numbers stay attributable to the reference model.
-// (Write-through and victim buffers exist only on the reference model;
-// write_policy_test, victim_buffer_test and system_test cover them.)
+// The single-pass sweep kernels (cache/stack_sweep.hpp,
+// cache/nested_sweep.hpp) behind BankAccumulator are only allowed to exist
+// because they are bit-identical to the behavioral references, for a full
+// bank and for a configuration measured alone: for every legal
+// configuration and every geometry of a scaled space, replaying the same
+// stream must produce the exact same CacheStats — every counter, not just
+// miss rates. This is the guarantee that lets every figure bench measure
+// through the bank while the paper's numbers stay attributable to the
+// reference model. (Write-through and victim buffers exist only on the
+// reference model; write_policy_test, victim_buffer_test and system_test
+// cover them.)
 //
 // Streams: bounded prefixes of three real captured workloads (instruction
 // + data mix, so loads, stores, and fetches all appear) plus adversarial
@@ -79,12 +80,14 @@ const std::vector<std::pair<std::string, Trace>>& adversarial_streams() {
   return *streams;
 }
 
-// FastCacheSim against ConfigurableCache, per configuration.
+// Each configuration measured alone (a bank of one: a one-slot
+// StackSweepSim, the path of an evaluator's memo miss) against
+// ConfigurableCache.
 void expect_identical(std::span<const TraceRecord> stream,
                       const std::string& stream_name) {
   const std::vector<std::uint32_t> packed = pack_stream(stream);
   for (const CacheConfig& cfg : all_configs()) {
-    EXPECT_EQ(reference_stats(cfg, stream), fast_stats(cfg, packed))
+    EXPECT_EQ(reference_stats(cfg, stream), lone_stats(cfg, packed))
         << stream_name << " x " << cfg.name();
   }
 }
@@ -103,6 +106,12 @@ TEST(ReplayEquivalence, SyntheticUniformThrash) {
   expect_identical(synthetic_stream(), "uniform64k");
 }
 
+TEST(ReplayEquivalence, LoneConfigAdversarial) {
+  for (const auto& [name, trace] : adversarial_streams()) {
+    expect_identical(trace, name);
+  }
+}
+
 TimingParams custom_timing() {
   TimingParams timing;
   timing.hit_cycles = 2;
@@ -113,22 +122,23 @@ TimingParams custom_timing() {
   return timing;
 }
 
-// Non-default timing must flow through both models identically (the miss
-// stall is precomputed per configuration on the fast path).
+// Non-default timing must flow through both models identically (the sweep
+// kernel derives cycle and stall totals from its histogram at stats()
+// time).
 TEST(ReplayEquivalence, CustomTiming) {
   const TimingParams timing = custom_timing();
   const std::span<const TraceRecord> stream = workload_prefix("crc");
   const std::vector<std::uint32_t> packed = pack_stream(stream);
   for (const CacheConfig& cfg : all_configs()) {
     EXPECT_EQ(reference_stats(cfg, stream, timing),
-              fast_stats(cfg, packed, timing))
+              lone_stats(cfg, packed, timing))
         << "crc x " << cfg.name() << " custom timing";
   }
 }
 
 // The bank against per-configuration reference replay, fed whole on one
-// thread and in uneven chunks on four: every grouping (stack-sweep groups
-// and fast-sim singletons) and every feed shape must reproduce the
+// thread and in uneven chunks on four: every grouping (full line-size
+// groups and one-config groups) and every feed shape must reproduce the
 // reference exactly.
 void expect_bank_identical(std::span<const CacheConfig> configs,
                            std::span<const TraceRecord> stream,
@@ -153,7 +163,7 @@ void expect_bank_identical(std::span<const CacheConfig> configs,
 }
 
 // Partial banks exercise the groupings the full space never forms: a
-// singleton line size (fast-sim fallback) next to a swept group.
+// singleton line size (a one-slot traversal) next to a swept group.
 TEST(ReplayEquivalence, BankMatchesPerConfig) {
   const std::span<const TraceRecord> stream = workload_prefix("bcnt");
   expect_bank_identical(all_configs(), stream, "bcnt");

@@ -1,14 +1,15 @@
 // Determinism suite for the group-threaded bank (trace/replay.hpp,
 // BankAccumulator sweep_jobs).
 //
-// A bank is one group per line size: a sweep traversal for two or more
-// configurations, the fast sim for one. With sweep_jobs > 1, feed() runs
-// the groups on min(sweep_jobs, groups) threads, and every group replays
-// each chunk whole on exactly one thread. Groups share no state, so each
-// group's result is its serial result whichever thread ran it: for any
-// thread count and any feed chunking, stats() must be bit-identical, every
-// CacheStats counter, to the serial bank of the same stream (which the
-// equivalence suite pins to the reference models).
+// A bank is one group per line size, and each group is one sweep
+// traversal, whether it holds one configuration or nine. With
+// sweep_jobs > 1, feed() runs the groups on min(sweep_jobs, groups)
+// threads, and every group replays each chunk whole on exactly one
+// thread. Groups share no state, so each group's result is its serial
+// result whichever thread ran it: for any thread count and any feed
+// chunking, stats() must be bit-identical, every CacheStats counter, to
+// the serial bank of the same stream (which the equivalence suite pins to
+// the reference models).
 // These tests enforce that on real workload streams (instruction AND data
 // sides), on adversarial synthetics (strided scans, pointer chases, tight
 // loops), on scaled geometry banks, and on banks whose singleton groups
@@ -244,10 +245,10 @@ TEST(ShardedSweep, TinyStreams) {
 }
 
 // Singletons leave the caller thread too: banks whose other line sizes
-// hold one configuration each run FastCacheSim groups (platform) or
-// one-member NestedSweepSim groups (geometry) on pool threads, next to a
-// sweep group. Each configuration must match its reference-model replay
-// and the serial bank.
+// hold one configuration each run one-slot StackSweepSim groups (platform)
+// or one-member NestedSweepSim groups (geometry) on pool threads, next to
+// a full sweep group. Each configuration must match its reference-model
+// replay and the serial bank.
 TEST(ShardedSweep, SingletonGroupsRunOnThreads) {
   const PackedWorkload& w = packed_workload("ucbqsort");
   constexpr std::size_t kChunk = 4097;

@@ -110,8 +110,7 @@ TEST(StackSweepProperty, NestedMasksAndHitCounts) {
   }
 
   // A (S, W) LRU cache hits iff stack distance < W: compare the oracle's
-  // counts with the kernel (and, transitively, the fast sim — the
-  // equivalence suite already pins those two together).
+  // counts with the kernel's full bank.
   const std::vector<CacheStats> bank =
       feed_stats(BankAccumulator(all_configs()), pack_stream(trace));
   const std::vector<CacheConfig>& configs = all_configs();
@@ -136,8 +135,9 @@ TEST(StackSweepProperty, NestedMasksAndHitCounts) {
   EXPECT_EQ(stats_of("8K_4W_16B_P").pred_first_hits, mru128);
   EXPECT_EQ(stats_of("8K_2W_16B_P").pred_first_hits, mru256);
 
-  // And the fast sim agrees with the oracle independently.
-  EXPECT_EQ(fast_stats(CacheConfig::parse("4K_2W_16B_P"), pack_stream(trace))
+  // And a one-slot traversal (the config measured alone) agrees with the
+  // oracle independently.
+  EXPECT_EQ(lone_stats(CacheConfig::parse("4K_2W_16B_P"), pack_stream(trace))
                 .pred_first_hits,
             mru128);
 }
@@ -219,12 +219,13 @@ std::vector<std::uint32_t> packed_stream(const Trace& trace) {
   return pack_stream(std::span<const TraceRecord>(trace));
 }
 
-void expect_matches_fast(std::span<const CacheConfig> bank, const Trace& trace,
-                         TimingParams timing = {}) {
+void expect_matches_reference(std::span<const CacheConfig> bank,
+                              const Trace& trace, TimingParams timing = {}) {
+  const std::vector<std::uint32_t> packed = packed_stream(trace);
   StackSweepSim sweep(bank, timing);
-  sweep.replay(packed_stream(trace));
+  sweep.replay(packed);
   for (const CacheConfig& cfg : bank) {
-    EXPECT_EQ(sweep.stats(cfg), fast_stats(cfg, packed_stream(trace), timing))
+    EXPECT_EQ(sweep.stats(cfg), reference_stats(cfg, packed, timing))
         << cfg.name();
   }
 }
@@ -234,7 +235,7 @@ TEST(StackSweepSim, PartialBank32B) {
   const std::vector<CacheConfig> bank = {
       CacheConfig::parse("2K_1W_32B"), CacheConfig::parse("8K_4W_32B_P"),
       CacheConfig::parse("4K_1W_32B")};
-  expect_matches_fast(bank, trace);
+  expect_matches_reference(bank, trace);
 }
 
 TEST(StackSweepSim, PartialBank64B) {
@@ -245,7 +246,7 @@ TEST(StackSweepSim, PartialBank64B) {
   TimingParams timing;
   timing.mem_latency = 33;
   timing.mispredict_penalty = 2;
-  expect_matches_fast(bank, trace, timing);
+  expect_matches_reference(bank, trace, timing);
 }
 
 // A prediction-only bank must still maintain the base slot's contents.
@@ -253,7 +254,7 @@ TEST(StackSweepSim, PredOnlyBank) {
   const Trace trace = property_stream();
   const std::vector<CacheConfig> bank = {CacheConfig::parse("4K_2W_16B_P"),
                                          CacheConfig::parse("8K_4W_16B_P")};
-  expect_matches_fast(bank, trace);
+  expect_matches_reference(bank, trace);
 }
 
 // Duplicates are legal (the bank API does not deduplicate) and a duplicated
@@ -263,7 +264,7 @@ TEST(StackSweepSim, DuplicateConfigs) {
   const CacheConfig cfg = CacheConfig::parse("8K_2W_16B");
   const std::vector<CacheConfig> bank = {cfg, cfg,
                                          CacheConfig::parse("2K_1W_16B")};
-  expect_matches_fast(bank, trace);
+  expect_matches_reference(bank, trace);
 }
 
 // State and stats accumulate across replay() calls: replaying a stream in

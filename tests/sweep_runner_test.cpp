@@ -52,7 +52,7 @@ std::vector<Cell> sweep_all27(SweepRunner& runner) {
         const CacheConfig& cfg = configs[j % configs.size()];
         const Trace& stream = instruction ? split.ifetch : split.data;
         Cell cell;
-        cell.stats = fast_stats(cfg, pack_stream(stream));
+        cell.stats = lone_stats(cfg, pack_stream(stream));
         cell.energy = model.evaluate(cfg, cell.stats).total();
         runner.add_accesses(stream.size());
         return cell;
@@ -75,7 +75,7 @@ TEST(SweepRunnerTest, ParallelMatchesSerialReferenceOnAll27Configs) {
     for (const Trace* stream : {&split.ifetch, &split.data}) {
       for (const CacheConfig& cfg : configs) {
         Cell cell;
-        cell.stats = fast_stats(cfg, pack_stream(*stream));
+        cell.stats = lone_stats(cfg, pack_stream(*stream));
         cell.energy = model.evaluate(cfg, cell.stats).total();
         reference.push_back(cell);
       }
@@ -114,7 +114,7 @@ TEST(SweepRunnerTest, BankReplayMatchesPerConfigReplay) {
         feed_stats(BankAccumulator(configs), packed);
     ASSERT_EQ(bank.size(), configs.size());
     for (std::size_t c = 0; c < configs.size(); ++c) {
-      EXPECT_EQ(bank[c], fast_stats(configs[c], packed)) << configs[c].name();
+      EXPECT_EQ(bank[c], lone_stats(configs[c], packed)) << configs[c].name();
     }
   }
 }

@@ -26,13 +26,13 @@ const SplitTrace& traces_of(const std::string& name) {
 }
 
 double imiss(const std::string& workload, const char* cfg) {
-  return fast_stats(CacheConfig::parse(cfg),
+  return lone_stats(CacheConfig::parse(cfg),
                     pack_stream(traces_of(workload).ifetch))
       .miss_rate();
 }
 
 double dmiss(const std::string& workload, const char* cfg) {
-  return fast_stats(CacheConfig::parse(cfg),
+  return lone_stats(CacheConfig::parse(cfg),
                     pack_stream(traces_of(workload).data))
       .miss_rate();
 }
@@ -97,11 +97,11 @@ TEST(WorkloadBehavior, EpicColumnPassesRewardAssociativity) {
 
 TEST(WorkloadBehavior, PredictionAccuracyBands) {
   // MRU prediction: high on instruction streams (paper: ~90%).
-  const CacheStats i = fast_stats(CacheConfig::parse("8K_4W_16B_P"),
+  const CacheStats i = lone_stats(CacheConfig::parse("8K_4W_16B_P"),
                                   pack_stream(traces_of("jpeg").ifetch));
   EXPECT_GT(i.prediction_accuracy(), 0.80);
   // Data accuracy varies by kernel but stays meaningful.
-  const CacheStats d = fast_stats(CacheConfig::parse("8K_4W_16B_P"),
+  const CacheStats d = lone_stats(CacheConfig::parse("8K_4W_16B_P"),
                                   pack_stream(traces_of("ucbqsort").data));
   EXPECT_GT(d.prediction_accuracy(), 0.40);
   EXPECT_LT(d.prediction_accuracy(), 1.0);

@@ -14,19 +14,21 @@
 // file mode streams the trace through PackedTraceReader (64 Ki-record
 // chunks read into one reused buffer and decoded into reused packed
 // streams); the workload mode never touches disk: the fast interpreter
-// runs on a capture thread and publishes packed chunks. Either way,
-// --exhaustive and --space fold each chunk straight into their bank as it
-// arrives, so capture (or decoding) overlaps the sweep and a trace far
-// larger than memory runs in a bounded footprint; only the heuristic
-// materializes the selected stream, because its walk replays just the
-// configurations it visits. Stdout is byte-identical across file/workload
-// modes and --sweep-jobs values for the same trace (--sweep-jobs runs the
-// bank's line-size groups on threads, each group's result its serial
-// result; see trace/replay.hpp). The default is the host's cores, clamped
-// to the group count (3 for the platform bank, 4 for a scaled space):
-// unlike the benches' --jobs pools and the daemon's workers, which keep
-// the library's serial default, one tune is one sweep job, so no outer
-// pool composes with the bank's threads. --sweep-jobs 1 runs serially.
+// runs on a capture thread and publishes packed chunks. Either way, each
+// chunk is folded straight into one bank as it arrives (the 27 platform
+// configs, or --space's geometries), so capture (or decoding) overlaps the
+// sweep and a trace far larger than memory runs in a bounded footprint.
+// The heuristic reads the same 27-config bank as --exhaustive: its walk
+// looks up the 5-8 configs it visits, and its "configs examined" and
+// Visited chain count the walk's steps, not what was measured. Stdout is
+// byte-identical across file/workload modes and --sweep-jobs values for
+// the same trace (--sweep-jobs runs the bank's line-size groups on
+// threads, each group's result its serial result; see trace/replay.hpp).
+// The default is the host's cores, clamped to the group count (3 for the
+// platform bank, 4 for a scaled space): unlike the benches' --jobs pools
+// and the daemon's workers, which keep the library's serial default, one
+// tune is one sweep job, so no outer pool composes with the bank's
+// threads. --sweep-jobs 1 runs serially.
 //
 // --phases SCENARIO runs the phase-adaptive tuner (src/phase) on a named
 // phase-mixed scenario (squarewave|taskset|datamix, captured
@@ -51,7 +53,9 @@
 // cmp.
 //
 // Numeric flags are parsed strictly (whole token, no sign): --scale takes
-// a positive integer and --sweep-jobs 1..32; anything else exits 2. Sweep
+// a positive integer and --sweep-jobs 1..32; anything else exits 2, as
+// does a flag the mode ignores (--naive or --scale without --phases; I, D,
+// --exhaustive, --space or --metrics-out with it). Outside --phases, sweep
 // metrics go to stderr, and to a JSON file with --metrics-out; the
 // informational [sim]/[trace_io] lines appear only under --metrics (or
 // STCACHE_METRICS=1).
@@ -152,46 +156,65 @@ int run(int argc, char** argv) {
   bool instruction = true;
   bool exhaustive = false;
   std::string metrics_out;
+  // A flag that the selected mode would ignore exits 2: the first flag seen
+  // that only --phases reads, and the first one that --phases ignores.
+  const char* phases_flag = nullptr;
+  const char* stream_flag = nullptr;
   int i = 1;
   if (argv[1][0] != '-') {
     path = argv[1];
     i = 2;
   }
   for (; i < argc; ++i) {
+    const char* flag = argv[i];
+    const auto is = [flag](const char* name) {
+      return std::strcmp(flag, name) == 0;
+    };
     std::uint64_t v = 0;
-    if (std::strcmp(argv[i], "D") == 0) instruction = false;
-    else if (std::strcmp(argv[i], "I") == 0) instruction = true;
-    else if (std::strcmp(argv[i], "--exhaustive") == 0) exhaustive = true;
-    else if (std::strcmp(argv[i], "--metrics") == 0) set_metrics_enabled(true);
-    else if (std::strcmp(argv[i], "--workload") == 0 && i + 1 < argc)
+    if (is("D")) instruction = false;
+    else if (is("I")) instruction = true;
+    else if (is("--exhaustive")) exhaustive = true;
+    else if (is("--metrics")) set_metrics_enabled(true);
+    else if (is("--workload") && i + 1 < argc)
       workload_name = argv[++i];
-    else if (std::strcmp(argv[i], "--phases") == 0 && i + 1 < argc)
+    else if (is("--phases") && i + 1 < argc)
       phases_name = argv[++i];
-    else if (std::strcmp(argv[i], "--naive") == 0)
+    else if (is("--naive"))
       phases_naive = true;
-    else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      if (!parse_flag_u64(argv[i], argv[i + 1], 1, ~std::uint32_t{0}, v))
+    else if (is("--scale") && i + 1 < argc) {
+      if (!parse_flag_u64(flag, argv[i + 1], 1, ~std::uint32_t{0}, v))
         return 2;
       phases_scale = static_cast<unsigned>(v);
       ++i;
-    } else if (std::strcmp(argv[i], "--space") == 0 && i + 1 < argc)
+    } else if (is("--space") && i + 1 < argc)
       space_name = argv[++i];
-    else if (std::strcmp(argv[i], "--sweep-jobs") == 0 && i + 1 < argc) {
-      if (!parse_flag_u64(argv[i], argv[i + 1], 1, 32, v)) return 2;
+    else if (is("--sweep-jobs") && i + 1 < argc) {
+      if (!parse_flag_u64(flag, argv[i + 1], 1, 32, v)) return 2;
       set_default_sweep_jobs(static_cast<unsigned>(v));
       ++i;
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc)
+    } else if (is("--metrics-out") && i + 1 < argc)
       metrics_out = argv[++i];
     else {
-      std::cerr << "unknown argument: " << argv[i] << "\n";
+      std::cerr << "unknown argument: " << flag << "\n";
       return 2;
     }
+    if (!phases_flag && (is("--naive") || is("--scale"))) phases_flag = flag;
+    if (!stream_flag && (is("I") || is("D") || is("--exhaustive") ||
+                         is("--space") || is("--metrics-out")))
+      stream_flag = flag;
   }
   if (!phases_name.empty()) {
     // Scenario mode stands alone: it builds its stream in-process.
     if (!path.empty() || !workload_name.empty()) return usage();
+    if (stream_flag) {
+      std::cerr << stream_flag << " does not apply to --phases\n";
+      return 2;
+    }
   } else if (path.empty() == workload_name.empty()) {
     return usage();  // exactly one of file / --workload
+  } else if (phases_flag) {
+    std::cerr << phases_flag << " applies only to --phases\n";
+    return 2;
   }
   if (!space_name.empty() && space_name != "embedded" &&
       space_name != "desktop") {
@@ -261,73 +284,57 @@ int run(int argc, char** argv) {
     }
   };
 
-  // --exhaustive and --space fold each chunk into their bank as it arrives
-  // (one sweep job, overlapping the producer), so the stream is never
-  // materialized and only its record count survives for the report. The
-  // two differ only in the bank: the 27 platform configs, or the space's
-  // geometries. Only the Fig. 6 heuristic materializes the stream, because
-  // its walk replays just the configs it visits.
-  std::vector<std::uint32_t> sel;
+  // Every mode folds each chunk into its bank as it arrives (one sweep job,
+  // overlapping the producer), so the stream is never materialized and only
+  // its record count survives for the report. The modes differ only in the
+  // bank: the 27 platform configs, which hold every config the Fig. 6 walk
+  // and the exhaustive search can visit, or the space's geometries.
   std::uint64_t sel_count = 0;
-  std::vector<CacheStats> measured;
-  const bool banked = exhaustive || space;
-  if (banked) {
-    measured =
-        runner
-            .map<std::vector<CacheStats>>(
-                1,
-                [&](std::size_t) {
-                  BankAccumulator bank = space
-                                             ? BankAccumulator(space->configs())
-                                             : BankAccumulator(configs);
-                  for_each_chunk([&](std::span<const std::uint32_t> words) {
-                    bank.feed(words);
-                  });
-                  sel_count = bank.words_fed();
-                  std::vector<CacheStats> stats = bank.stats();
-                  runner.add_accesses(sel_count * stats.size());
-                  return stats;
-                },
-                [&](std::size_t) {
-                  return (workload ? workload_name : path) + ": " +
-                         (space ? space_name + " space" : "platform") +
-                         " streamed sweep";
-                })
-            .front();
-  } else {
-    // The file's record count bounds the selected stream: one allocation.
-    if (reader) sel.reserve(reader->record_count());
-    for_each_chunk([&](std::span<const std::uint32_t> words) {
-      sel.insert(sel.end(), words.begin(), words.end());
-    });
-    sel_count = sel.size();
-  }
+  const std::vector<CacheStats> measured =
+      runner
+          .map<std::vector<CacheStats>>(
+              1,
+              [&](std::size_t) {
+                BankAccumulator bank = space
+                                           ? BankAccumulator(space->configs())
+                                           : BankAccumulator(configs);
+                for_each_chunk([&](std::span<const std::uint32_t> words) {
+                  bank.feed(words);
+                });
+                sel_count = bank.words_fed();
+                std::vector<CacheStats> stats = bank.stats();
+                runner.add_accesses(sel_count * stats.size());
+                return stats;
+              },
+              [&](std::size_t) {
+                return (workload ? workload_name : path) + ": " +
+                       (space ? space_name + " space" : "platform") +
+                       " streamed sweep";
+              })
+          .front();
 
   if (sel_count == 0) {
     std::cerr << "error: the selected stream is empty\n";
     return 1;
   }
 
-  if (banked) {
-    runner.print_metrics(std::cerr);
-    runner.write_metrics_json(metrics_out);
-    // The measured bank covers every configuration either search visits,
-    // so the renderers replay nothing — stcache_tunec renders the daemon's
-    // VERDICT through print_exhaustive_report, byte-identically. Stdout
-    // depends only on the measured counts, which are bit-identical across
-    // thread counts.
-    if (space) {
-      print_scaled_report(std::cout, space_name, instruction, sel_count,
-                          *space, measured, model);
-    } else {
-      print_exhaustive_report(std::cout, instruction, sel_count, configs,
-                              measured, model);
-    }
+  runner.print_metrics(std::cerr);
+  runner.write_metrics_json(metrics_out);
+  // The measured bank covers every configuration either search visits, so
+  // the renderers replay nothing, and stdout depends only on the measured
+  // counts, which are bit-identical across thread counts. The walk's
+  // "configs examined" and Visited chain come from the walk itself, not
+  // from how much was measured. stcache_tunec renders the daemon's VERDICT
+  // through print_exhaustive_report, the --exhaustive case of this render,
+  // byte-identically.
+  if (space) {
+    print_scaled_report(std::cout, space_name, instruction, sel_count, *space,
+                        measured, model);
     return 0;
   }
-
-  TraceEvaluator eval(std::span<const std::uint32_t>(sel), model);
-  print_verdict(std::cout, instruction, sel_count, eval, /*exhaustive=*/false);
+  TraceEvaluator eval(std::span<const std::uint32_t>{}, model);
+  eval.prime_from(configs, measured);
+  print_verdict(std::cout, instruction, sel_count, eval, exhaustive);
   return 0;
 }
 
