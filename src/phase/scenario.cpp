@@ -1,7 +1,6 @@
 #include "phase/scenario.hpp"
 
 #include <initializer_list>
-#include <utility>
 
 #include "trace/synthetic.hpp"
 #include "util/error.hpp"
@@ -43,11 +42,8 @@ PhaseScenarioStream::PhaseScenarioStream(const std::string& name,
   const bool instruction = scenario_->instruction;
   constexpr std::uint64_t kKi = 1024;
   const auto add_kernels = [&](std::initializer_list<const char*> names) {
-    for (const char* n : names) {
-      PackedCapture cap = capture_packed(find_workload(n));
-      sources_.push_back(instruction ? std::move(cap.ifetch)
-                                     : std::move(cap.data));
-    }
+    for (const char* n : names)
+      captured_.push_back(capture_stream(find_workload(n), instruction));
   };
   if (scenario_->name == "squarewave") {
     add_kernels({"crc", "padpcm"});
@@ -56,18 +52,21 @@ PhaseScenarioStream::PhaseScenarioStream(const std::string& name,
     add_kernels({"crc", "jpeg", "ucbqsort", "padpcm"});
     const std::uint64_t lens[] = {512 * kKi * scale, 768 * kKi * scale,
                                   640 * kKi * scale, 576 * kKi * scale};
-    plan_ = cycle_plan(sources_.size(), lens, 4);
+    plan_ = cycle_plan(captured_.size(), lens, 4);
   } else {  // datamix
     add_kernels({"adpcm", "jpeg", "ucbqsort", "g3fax", "epic"});
-    sources_.push_back(gen_parser_like_packed({}));
-    plan_ = interleaved_plan(sources_.size(), 24, 384 * kKi * scale,
+    parser_like_ = gen_parser_like_packed({});
+    plan_ = interleaved_plan(captured_.size() + 1, 24, 384 * kKi * scale,
                              768 * kKi * scale, 0xC0FFEEULL);
   }
 }
 
 std::vector<std::span<const std::uint32_t>> PhaseScenarioStream::source_spans()
     const {
-  return {sources_.begin(), sources_.end()};
+  std::vector<std::span<const std::uint32_t>> spans;
+  for (const PagedStream& s : captured_) spans.push_back(s.words());
+  if (!parser_like_.empty()) spans.push_back(parser_like_);
+  return spans;
 }
 
 std::uint64_t PhaseScenarioStream::total_words() const {

@@ -5,9 +5,12 @@
 // and plans a long packed stream over them via trace/phase_mix.
 // PhaseScenarioStream keeps just those sources and the plan and streams
 // the scenario as zero-copy slices of the sources, so its footprint is the
-// sources' (7-12 MB) at every scale; build_phase_scenario() materializes
-// the stream with its ground-truth segment list, which is what the oracle
-// in bench_phase_adaptive and the boundary tests judge against.
+// sources' (6.4-11.6 MB; a `stcache_tune --phases` process peaks at
+// 12.0-17.5 MB RSS) at every scale. Each kernel source is captured alone
+// (capture_stream), so the unused side is never stored.
+// build_phase_scenario() materializes the stream with its ground-truth
+// segment list, which is what the oracle in bench_phase_adaptive and the
+// boundary tests judge against.
 //
 // This lives in src/phase (not src/trace) because it binds the workload
 // registry: stc_workloads links stc_trace, so the binding has to sit above
@@ -22,6 +25,7 @@
 #include <vector>
 
 #include "trace/phase_mix.hpp"
+#include "trace/stream.hpp"
 
 namespace stcache {
 
@@ -62,7 +66,10 @@ class PhaseScenarioStream {
   std::vector<std::span<const std::uint32_t>> source_spans() const;
 
   const PhaseScenario* scenario_ = nullptr;
-  std::vector<std::vector<std::uint32_t>> sources_;
+  // The sources in plan order: each kernel's selected stream, captured
+  // alone, then datamix's parser-like stream.
+  std::vector<PagedStream> captured_;
+  std::vector<std::uint32_t> parser_like_;
   std::vector<PhaseSegmentSpec> plan_;
 };
 

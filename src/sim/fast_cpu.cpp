@@ -23,10 +23,11 @@ FastCpu::FastCpu(const Program& program, std::uint32_t mem_bytes) {
   if (program.end_address() > mem_bytes) {
     fail("Cpu: program does not fit in " + std::to_string(mem_bytes) + " bytes");
   }
-  mem_.assign(mem_bytes, 0);
+  mem_ = ZeroPages(mem_bytes);
   std::uint32_t text_end = 0;
   for (const Segment& s : program.segments) {
-    std::copy(s.bytes.begin(), s.bytes.end(), mem_.begin() + s.base);
+    std::copy(s.bytes.begin(), s.bytes.end(),
+              mem_.data<std::uint8_t>() + s.base);
     if (s.base < kDefaultDataBase) {
       text_end = std::max(
           text_end, s.base + static_cast<std::uint32_t>(s.bytes.size()));
@@ -93,7 +94,7 @@ std::uint8_t FastCpu::load_byte(std::uint32_t addr) const {
     std::snprintf(buf, sizeof buf, "memory access out of range: 0x%08x", addr);
     fail(buf);
   }
-  return mem_[addr];
+  return mem_.data<std::uint8_t>()[addr];
 }
 
 std::uint32_t FastCpu::read_mem_raw(std::uint32_t addr, std::uint32_t bytes) const {
@@ -145,7 +146,7 @@ RunResult FastCpu::run_impl(std::uint64_t max_instructions, PackedSink* sink) {
     dw = sink->dw_;
   }
   const std::uint32_t mem_size = static_cast<std::uint32_t>(mem_.size());
-  std::uint8_t* const mem = mem_.data();
+  std::uint8_t* const mem = mem_.data<std::uint8_t>();
 
   if constexpr (!kCapture) {
     (void)sink;

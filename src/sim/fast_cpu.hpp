@@ -34,6 +34,9 @@
 //    and truncates the currently executing superblock at the store, so
 //    self-modifying code observes exactly the reference redecode
 //    semantics (tests/fast_cpu_test.cpp runs the differential).
+//  * Lazily zeroed memory. The simulated memory is pages the OS
+//    zero-fills on first touch (util/pages.hpp), so a run faults in only
+//    the text, data and stack pages it touches, not all of mem_bytes.
 //
 // Timing model: every instruction fetch and every data access costs one
 // cycle (the capture contract of TracingMemory/PerfectMemory), so
@@ -49,6 +52,7 @@
 #include "isa/assembler.hpp"
 #include "isa/dense.hpp"
 #include "sim/cpu.hpp"
+#include "util/pages.hpp"
 
 namespace stcache {
 
@@ -115,7 +119,7 @@ class FastCpu {
   std::uint32_t read_mem_raw(std::uint32_t addr, std::uint32_t bytes) const;
   [[noreturn]] void trap(const std::string& what, std::uint32_t pc) const;
 
-  std::vector<std::uint8_t> mem_;
+  ZeroPages mem_;
   std::vector<DenseInstr> dense_;  // one entry per text word slot
   // Straight-line instructions executable from each slot before the next
   // control instruction / poisoned word / end of text.

@@ -1,6 +1,7 @@
 #include "trace/stream.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -19,6 +20,15 @@ namespace {
 }
 
 }  // namespace
+
+// --- PackedChunk ------------------------------------------------------------
+
+void PackedChunk::reserve(std::size_t words) {
+  if (capacity >= words) return;
+  ifetch = std::make_unique_for_overwrite<std::uint32_t[]>(words);
+  data = std::make_unique_for_overwrite<std::uint32_t[]>(words);
+  capacity = words;
+}
 
 // --- SpscChunkQueue ---------------------------------------------------------
 
@@ -99,19 +109,17 @@ ChunkQueueSink::ChunkQueueSink(SpscChunkQueue& queue, std::size_t chunk_words)
 
 void ChunkQueueSink::commit() {
   if (!open_) return;
-  chunk_.ifetch_count = static_cast<std::size_t>(iw_ - chunk_.ifetch.data());
-  chunk_.data_count = static_cast<std::size_t>(dw_ - chunk_.data.data());
+  chunk_.ifetch_count = static_cast<std::size_t>(iw_ - chunk_.ifetch.get());
+  chunk_.data_count = static_cast<std::size_t>(dw_ - chunk_.data.get());
 }
 
 void ChunkQueueSink::open_chunk(std::size_t min_words) {
   chunk_ = queue_.acquire();
-  const std::size_t words = std::max(chunk_words_, min_words);
-  if (chunk_.ifetch.size() < words) chunk_.ifetch.resize(words);
-  if (chunk_.data.size() < words) chunk_.data.resize(words);
-  iw_ = chunk_.ifetch.data();
-  iw_end_ = iw_ + chunk_.ifetch.size();
-  dw_ = chunk_.data.data();
-  dw_end_ = dw_ + chunk_.data.size();
+  chunk_.reserve(std::max(chunk_words_, min_words));
+  iw_ = chunk_.ifetch.get();
+  iw_end_ = iw_ + chunk_.capacity;
+  dw_ = chunk_.data.get();
+  dw_end_ = dw_ + chunk_.capacity;
   open_ = true;
 }
 
@@ -150,15 +158,24 @@ PackedBufferSink::PackedBufferSink(std::size_t initial_words) {
   dw_end_ = dw_ + data_.size();
 }
 
+namespace {
+
+// Double `words` (to at least `min_free` words past the cursor) if fewer
+// than `min_free` are left past it, and re-point the cursor pair.
+void ensure_room(std::vector<std::uint32_t>& words, std::uint32_t*& cursor,
+                 std::uint32_t*& end, std::size_t min_free) {
+  if (static_cast<std::size_t>(end - cursor) >= min_free) return;
+  const std::size_t used = static_cast<std::size_t>(cursor - words.data());
+  words.resize(std::max(words.size() * 2, used + min_free));
+  cursor = words.data() + used;
+  end = words.data() + words.size();
+}
+
+}  // namespace
+
 void PackedBufferSink::refill(std::size_t min_free) {
-  const std::size_t iused = static_cast<std::size_t>(iw_ - ifetch_.data());
-  const std::size_t dused = static_cast<std::size_t>(dw_ - data_.data());
-  ifetch_.resize(std::max(ifetch_.size() * 2, iused + min_free));
-  data_.resize(std::max(data_.size() * 2, dused + min_free));
-  iw_ = ifetch_.data() + iused;
-  iw_end_ = ifetch_.data() + ifetch_.size();
-  dw_ = data_.data() + dused;
-  dw_end_ = data_.data() + data_.size();
+  ensure_room(ifetch_, iw_, iw_end_, min_free);
+  ensure_room(data_, dw_, dw_end_, min_free);
 }
 
 std::vector<std::uint32_t> PackedBufferSink::take_ifetch() {
@@ -171,6 +188,56 @@ std::vector<std::uint32_t> PackedBufferSink::take_data() {
   data_.resize(static_cast<std::size_t>(dw_ - data_.data()));
   dw_ = dw_end_ = nullptr;
   return std::move(data_);
+}
+
+// --- OneStreamSink ----------------------------------------------------------
+
+namespace {
+
+// The kept stream's first mapping; it doubles in place from there. Only
+// the pages the capture writes are ever faulted in.
+constexpr std::size_t kFirstKeptWords = std::size_t{1} << 16;
+// The dropped stream's scratch, small enough to stay in cache.
+constexpr std::size_t kScratchWords = std::size_t{1} << 12;
+
+}  // namespace
+
+OneStreamSink::OneStreamSink(bool instruction)
+    : instruction_(instruction),
+      kept_(kFirstKeptWords * sizeof(std::uint32_t)) {
+  // The dropped stream's cursors start null, so the first block's refill
+  // allocates the scratch.
+  (instruction_ ? iw_ : dw_) = kept_.data<std::uint32_t>();
+  (instruction_ ? iw_end_ : dw_end_) =
+      kept_.data<std::uint32_t>() + kFirstKeptWords;
+}
+
+void OneStreamSink::refill(std::size_t min_free) {
+  std::uint32_t*& kept = instruction_ ? iw_ : dw_;
+  std::uint32_t*& kept_end = instruction_ ? iw_end_ : dw_end_;
+  if (static_cast<std::size_t>(kept_end - kept) < min_free) {
+    const std::size_t used =
+        static_cast<std::size_t>(kept - kept_.data<std::uint32_t>());
+    kept_.grow(std::max(2 * kept_.size(),
+                        (used + min_free) * sizeof(std::uint32_t)));
+    kept = kept_.data<std::uint32_t>() + used;
+    kept_end = kept_.data<std::uint32_t>() +
+               kept_.size() / sizeof(std::uint32_t);
+  }
+  if (scratch_.size() < min_free)
+    scratch_.resize(std::max(kScratchWords, min_free));
+  // Nothing reads the dropped stream: rewind it over the scratch.
+  (instruction_ ? dw_ : iw_) = scratch_.data();
+  (instruction_ ? dw_end_ : iw_end_) = scratch_.data() + scratch_.size();
+}
+
+PagedStream OneStreamSink::take() {
+  const std::uint32_t* const kept = instruction_ ? iw_ : dw_;
+  PagedStream out;
+  out.count = static_cast<std::size_t>(kept - kept_.data<std::uint32_t>());
+  out.pages = std::move(kept_);
+  iw_ = iw_end_ = dw_ = dw_end_ = nullptr;
+  return out;
 }
 
 // --- stream_capture ---------------------------------------------------------

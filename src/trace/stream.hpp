@@ -19,7 +19,8 @@
 // total, never a full trace. PackedBufferSink is the materialized
 // counterpart (grows two flat vectors) for paths that still want whole
 // packed streams in memory — it replaces the Trace AoS, not the streaming
-// mode.
+// mode. OneStreamSink materializes one of the two streams only, for
+// callers that use one side (the phase scenarios' sources).
 //
 // Thread safety: SpscChunkQueue is mutex+condvar (TSan-clean by
 // construction) and assumes ONE producer and ONE consumer thread, matching
@@ -34,28 +35,37 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
 #include "sim/fast_cpu.hpp"
+#include "util/pages.hpp"
 
 namespace stcache {
 
 // One capture slice: the two split packed streams, each internally in
-// program order. `*_count` words of each vector are valid (the vectors keep
-// their full capacity so recycled chunks never reallocate).
+// program order. `*_count` words of each buffer are valid. The buffers are
+// default-initialized, not zero-filled: the producer writes every word it
+// publishes and consumers read only the counted words, so a chunk faults
+// in only the pages its producer fills. A recycled chunk keeps its
+// buffers, so it never reallocates.
 struct PackedChunk {
-  std::vector<std::uint32_t> ifetch;
-  std::vector<std::uint32_t> data;
+  std::unique_ptr<std::uint32_t[]> ifetch;
+  std::unique_ptr<std::uint32_t[]> data;
+  std::size_t capacity = 0;  // words in each buffer
   std::size_t ifetch_count = 0;
   std::size_t data_count = 0;
 
+  // Room for at least `words` per stream; the contents are not kept.
+  void reserve(std::size_t words);
+
   std::span<const std::uint32_t> ifetch_words() const {
-    return {ifetch.data(), ifetch_count};
+    return {ifetch.get(), ifetch_count};
   }
   std::span<const std::uint32_t> data_words() const {
-    return {data.data(), data_count};
+    return {data.get(), data_count};
   }
 };
 
@@ -128,7 +138,8 @@ class ChunkQueueSink : public PackedSink {
 // PackedSink that materializes the two packed streams in flat vectors —
 // the in-memory replacement for capture_trace()+split_trace()+pack_stream()
 // when a consumer genuinely needs random access (the heuristic evaluator's
-// on-demand re-measurement, trace file export).
+// on-demand re-measurement, trace file export). A refill doubles only the
+// stream that ran out of room.
 class PackedBufferSink : public PackedSink {
  public:
   explicit PackedBufferSink(std::size_t initial_words = std::size_t{1} << 16);
@@ -143,6 +154,39 @@ class PackedBufferSink : public PackedSink {
  private:
   std::vector<std::uint32_t> ifetch_;
   std::vector<std::uint32_t> data_;
+};
+
+// One packed stream in pages the OS zero-fills on first touch: `count`
+// words from the start of `pages`.
+struct PagedStream {
+  ZeroPages pages;
+  std::size_t count = 0;
+
+  std::span<const std::uint32_t> words() const {
+    return {pages.data<const std::uint32_t>(), count};
+  }
+};
+
+// PackedSink that keeps one of the two split streams and drops the other
+// as it is produced. The kept words are written once, into ZeroPages
+// grown in place, so none is copied and no page is zero-filled ahead of
+// the capture. The dropped stream's cursor rewinds over one small scratch
+// buffer at every refill.
+class OneStreamSink : public PackedSink {
+ public:
+  // Keep the instruction-fetch stream, or else the data stream.
+  explicit OneStreamSink(bool instruction);
+
+  // The kept stream as the run left it. Resets the sink.
+  PagedStream take();
+
+ protected:
+  void refill(std::size_t min_free) override;
+
+ private:
+  const bool instruction_;
+  ZeroPages kept_;
+  std::vector<std::uint32_t> scratch_;
 };
 
 // Run `produce` (typically a FastCpu capture of one workload) on a

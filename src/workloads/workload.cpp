@@ -1,7 +1,7 @@
 #include "workloads/workload.hpp"
 
-#include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <iterator>
 #include <mutex>
 #include <optional>
@@ -137,6 +137,26 @@ void sim_metric(const Workload& w, const RunResult& r, double seconds) {
                seconds, static_cast<double>(r.instructions) / seconds);
 }
 
+// CPU time of the calling thread. The [sim] line times the capture with
+// it, so a streamed producer's waits for room in a full queue (the
+// consumer's time, not the capture's) do not count.
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// Run the fast interpreter on `w` into `sink` on this thread and verify
+// the checksum. The run and the check are what the [sim] line times.
+RunResult fast_capture(const Workload& w, FastCpu& cpu, PackedSink& sink) {
+  const double start = thread_cpu_seconds();
+  const RunResult r = cpu.run(w.max_instructions, sink);
+  check_run(w, r, cpu.reg(kV0));
+  sim_metric(w, r, thread_cpu_seconds() - start);
+  return r;
+}
+
 }  // namespace
 
 RunResult run_functional(const Workload& w) {
@@ -147,11 +167,9 @@ RunResult run_functional(const Workload& w) {
 Trace capture_trace(const Workload& w) {
   TracingMemory mem;
   mem.reserve(static_cast<std::size_t>(w.max_instructions / 4));
-  const auto start = std::chrono::steady_clock::now();
+  const double start = thread_cpu_seconds();
   const RunResult r = execute(w, mem);
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  sim_metric(w, r, elapsed.count());
+  sim_metric(w, r, thread_cpu_seconds() - start);
   return mem.take();
 }
 
@@ -159,38 +177,30 @@ PackedCapture capture_packed(const Workload& w) {
   const Program program = assemble(w.source, w.name);
   FastCpu cpu(program, w.mem_bytes);
   PackedBufferSink sink;
-  const auto start = std::chrono::steady_clock::now();
-  const RunResult r = cpu.run(w.max_instructions, sink);
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  check_run(w, r, cpu.reg(kV0));
-  sim_metric(w, r, elapsed.count());
   PackedCapture out;
+  out.run = fast_capture(w, cpu, sink);
   out.ifetch = sink.take_ifetch();
   out.data = sink.take_data();
-  out.run = r;
   return out;
+}
+
+PagedStream capture_stream(const Workload& w, bool instruction) {
+  const Program program = assemble(w.source, w.name);
+  FastCpu cpu(program, w.mem_bytes);
+  OneStreamSink sink(instruction);
+  fast_capture(w, cpu, sink);
+  return sink.take();
 }
 
 RunResult stream_workload(
     const Workload& w, const std::function<void(const PackedChunk&)>& consume) {
   const Program program = assemble(w.source, w.name);
   FastCpu cpu(program, w.mem_bytes);  // built here; touched only by the producer
-  const auto start = std::chrono::steady_clock::now();
-  const RunResult r = stream_capture(
-      [&](PackedSink& sink) {
-        const RunResult rr = cpu.run(w.max_instructions, sink);
-        // Verify on the producer thread, before the tail chunk is
-        // published: a failing run reaches the consumer as an error, never
-        // as a complete-looking stream.
-        check_run(w, rr, cpu.reg(kV0));
-        return rr;
-      },
-      consume);
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start;
-  sim_metric(w, r, elapsed.count());
-  return r;
+  // The checksum is verified on the producer thread, before the tail chunk
+  // is published: a failing run reaches the consumer as an error, never as
+  // a complete-looking stream.
+  return stream_capture(
+      [&](PackedSink& sink) { return fast_capture(w, cpu, sink); }, consume);
 }
 
 }  // namespace stcache

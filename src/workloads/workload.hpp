@@ -70,6 +70,13 @@ struct PackedCapture {
 };
 PackedCapture capture_packed(const Workload& w);
 
+// One side of capture_packed(w), word for word: the instruction-fetch
+// stream, or else the data stream. The other side is dropped as it is
+// produced, and the kept words are written once into pages the OS
+// zero-fills on first touch (OneStreamSink), so nothing is copied or
+// zero-filled ahead of the capture. Checksum verified.
+PagedStream capture_stream(const Workload& w, bool instruction);
+
 // Streaming capture: run the fast interpreter on a producer thread and
 // fold each packed chunk into `consume` as it is published (in capture
 // order; each chunk carries both split streams). The checksum is verified

@@ -9,7 +9,9 @@
 // the running block, budget cuts mid-block, poisoned slots) and the paths
 // where it must not change behavior (traps, halt PC, register state).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -330,6 +332,46 @@ buf:    .space 16
   EXPECT_EQ(a.halted, b.halted);
   EXPECT_EQ(a.instructions, 5u);
   EXPECT_EQ(a.cycles, 5u + 2u);
+}
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+// The simulated memory is pages the OS zero-fills on first touch, so an
+// interpreter faults in what its program touches, not all of mem_bytes:
+// a 16 MB memory is 4,096 pages. The bound leaves room for the shadow
+// pages an ASan build touches too.
+TEST(FastCpu, ConstructionFaultsInUnderAQuarterOfItsMemory) {
+  const Program p = assemble(R"(
+main:   la   t0, buf
+        lw   t1, 0(t0)
+        halt
+        .data
+buf:    .word 7
+)");
+  constexpr std::uint32_t kMem = 16u << 20;
+  const long before = minor_faults();
+  FastCpu cpu(p, kMem);
+  const long faults = minor_faults() - before;
+  EXPECT_LT(faults, kMem / 4096 / 4) << faults << " minor faults";
+  EXPECT_EQ(cpu.load_word(kMem - 4), 0u);  // untouched memory reads zero
+  EXPECT_TRUE(cpu.run().halted);
+  EXPECT_EQ(cpu.reg(kT1), 7u);
+}
+
+// A refill grows only the stream that ran out: bcnt's data stream (28 k
+// words) stays in its initial buffer while the instruction stream
+// (442 k words) doubles past it.
+TEST(PackedBufferSink, RefillGrowsOnlyTheStreamThatRanOut) {
+  constexpr std::size_t kInitialWords = std::size_t{1} << 16;  // the default
+  const PackedCapture cap = capture_packed(find_workload("bcnt"));
+  ASSERT_GT(cap.ifetch.size(), 4 * kInitialWords);
+  EXPECT_LE(cap.data.capacity(), std::max(2 * cap.data.size(), kInitialWords));
+  EXPECT_LE(cap.ifetch.capacity(),
+            std::max(2 * cap.ifetch.size(), kInitialWords));
 }
 
 // --- whole-workload differential --------------------------------------------

@@ -3,9 +3,11 @@
 // materialized capture, and incremental bank accumulation. The queue tests
 // are the ones repro.sh runs under TSan.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -30,9 +32,10 @@ TEST(SpscChunkQueue, DeliversChunksInOrder) {
   std::thread producer([&] {
     for (std::uint32_t i = 0; i < 64; ++i) {
       PackedChunk c = q.acquire();
-      c.ifetch.assign(100, i);
+      c.reserve(100);
+      std::fill_n(c.ifetch.get(), 100, i);
       c.ifetch_count = 100;
-      c.data.assign(3, i);
+      std::fill_n(c.data.get(), 3, i);
       c.data_count = 3;
       ASSERT_TRUE(q.push(std::move(c)));
     }
@@ -60,7 +63,8 @@ TEST(SpscChunkQueue, BoundedDepthBlocksProducerNotForever) {
   std::thread producer([&] {
     for (std::uint32_t i = 0; i < 16; ++i) {
       PackedChunk c = q.acquire();
-      c.ifetch.assign(1, i);
+      c.reserve(1);
+      c.ifetch[0] = i;
       c.ifetch_count = 1;
       ASSERT_TRUE(q.push(std::move(c)));
       produced.fetch_add(1);
@@ -81,7 +85,8 @@ TEST(SpscChunkQueue, ProducerErrorReachesConsumer) {
   SpscChunkQueue q(2);
   std::thread producer([&] {
     PackedChunk c = q.acquire();
-    c.ifetch.assign(1, 42u);
+    c.reserve(1);
+    c.ifetch[0] = 42u;
     c.ifetch_count = 1;
     ASSERT_TRUE(q.push(std::move(c)));
     try {
@@ -105,7 +110,8 @@ TEST(SpscChunkQueue, AbandonUnblocksProducer) {
   std::thread producer([&] {
     for (std::uint32_t i = 0; i < 1000; ++i) {
       PackedChunk c = q.acquire();
-      c.ifetch.assign(1, i);
+      c.reserve(1);
+      c.ifetch[0] = i;
       c.ifetch_count = 1;
       if (!q.push(std::move(c))) {
         saw_false_push = true;
@@ -160,6 +166,69 @@ TEST(StreamWorkload, MatchesMaterializedCaptureForEveryWorkload) {
     EXPECT_EQ(rr.cycles, one.run.cycles) << w.name;
     EXPECT_TRUE(ifetch == one.ifetch) << w.name << ": ifetch stream differs";
     EXPECT_TRUE(data == one.data) << w.name << ": data stream differs";
+  }
+}
+
+// stream_workload runs stream_capture at its default queue depth, 4. A
+// buffer is queued, being filled or being folded, so the free list keeps
+// the pipeline at depth + 2 chunks however long the stream is.
+TEST(StreamWorkload, RecyclesAtMostQueueDepthPlusTwoBuffers) {
+  constexpr std::size_t kDepth = 4;
+  std::set<const std::uint32_t*> buffers;
+  std::size_t chunks = 0;
+  stream_workload(find_workload("mpeg2"), [&](const PackedChunk& c) {
+    buffers.insert(c.ifetch_words().data());
+    ++chunks;
+  });
+  EXPECT_GT(chunks, 3 * (kDepth + 2));  // 37 chunks
+  EXPECT_LE(buffers.size(), kDepth + 2);
+}
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+// Chunks are not zero-filled. bcnt's capture (442 k instruction words and
+// 28 k data words, about 460 pages) fits one chunk of 16 Mi words per
+// stream, 32,768 pages in all, and faults in little more than what the
+// producer writes. The faults are read when the chunk arrives, before any
+// buffer is freed. The bound leaves room for the shadow pages that
+// sanitizer builds touch for each page written (about 4,700 faults in
+// all under TSan, 470 without).
+TEST(StreamCapture, ChunksFaultInOnlyTheWordsWritten) {
+  const Workload& w = find_workload("bcnt");
+  const Program p = assemble(w.source);
+  constexpr std::size_t kChunkWords = std::size_t{1} << 24;
+  long faults = -1;
+  std::size_t words = 0;
+  const long before = minor_faults();
+  stream_capture(
+      [&](PackedSink& sink) {
+        FastCpu cpu(p, w.mem_bytes);
+        return cpu.run(w.max_instructions, sink);
+      },
+      [&](const PackedChunk& c) {
+        faults = minor_faults() - before;
+        words += c.ifetch_words().size() + c.data_words().size();
+      },
+      kChunkWords, /*queue_depth=*/1);
+  ASSERT_GT(words, std::size_t{400'000});
+  ASSERT_GE(faults, 0);
+  EXPECT_LT(faults, 2 * kChunkWords * 4 / 4096 / 4) << faults << " faults";
+}
+
+// capture_stream keeps one side of capture_packed, word for word.
+TEST(CaptureStream, MatchesCapturePackedSideForEveryWorkload) {
+  for (const Workload& w : all_workloads()) {
+    const PackedCapture both = capture_packed(w);
+    const PagedStream ifetch = capture_stream(w, true);
+    const PagedStream data = capture_stream(w, false);
+    EXPECT_TRUE(std::ranges::equal(ifetch.words(), both.ifetch))
+        << w.name << ": instruction stream differs";
+    EXPECT_TRUE(std::ranges::equal(data.words(), both.data))
+        << w.name << ": data stream differs";
   }
 }
 

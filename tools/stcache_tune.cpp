@@ -37,7 +37,8 @@
 // from a close earlier phase (phase distance mapping) or freshly swept,
 // and the Fig. 6 verdict. The composed stream is never built: the tuner is
 // fed zero-copy slices of the scenario's captured sources, so memory is
-// the sources' 7-12 MB at any --scale, not 4 B per stream word. --naive
+// the sources' 6.4-11.6 MB at any --scale, not 4 B per stream word (the
+// process peaks at 12.0-17.5 MB RSS over the three scenarios). --naive
 // disables distance mapping (every phase re-sweeps) as the comparison
 // baseline; --scale N multiplies every segment length. The timeline
 // depends only on bank stats and fixed-offset window signatures, so stdout
