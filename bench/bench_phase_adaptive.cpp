@@ -27,14 +27,16 @@
 // byte-identical across them (repro.sh cmp-gates the timeline through
 // stcache_tune --phases).
 //
-// The classifier-overhead section times the streaming full-space sweep
-// pipeline (27-config bank fed chunk by chunk) with and without the
-// classifier attached, in --reps interleaved pairs per scenario (default
-// 9; the leg that runs first alternates), and takes the median of the
-// pairs' on/off ratios; overall (each pair's times summed over the
-// scenarios) it is gated at <= 5%. A median of pairs, because the
-// difference of two best-of timings of the same sweep swung from -0.5% to
-// +4.1% between runs.
+// The classifier-overhead section runs the streaming full-space sweep
+// pipeline (27-config bank and classifier fed the same chunks) --reps
+// times per scenario (default 9) and times the classifier's own feed and
+// finish calls inside each pass. A pass's overhead is the classifier's
+// seconds over the rest of the pass; the median over the passes (each
+// pass's times summed over the scenarios) is gated at <= 5%. It measures
+// the classifier's own time, not what its cache footprint costs the bank,
+// because differencing whole passes with and without the classifier
+// swung from -4.3% to +10.3% over 10 runs, and read +10.6% for taskset
+// when neither pass ran the classifier.
 //
 // Wall-clock numbers go to stderr; stdout carries only deterministic
 // tables. With --out, the gated values go to a bench::Snapshot
@@ -50,7 +52,6 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -110,46 +111,57 @@ PhaseAdaptiveTuner run_tuner(std::span<const CacheConfig> configs,
   return tuner;
 }
 
-// Seconds of one pass of the streaming sweep pipeline over `words`: the
-// 27-config oneshot bank fed chunk by chunk, with the classifier attached
-// to the same chunks or not.
-double time_pipeline(std::span<const CacheConfig> configs,
-                     std::span<const std::uint32_t> words, bool classify) {
-  const auto t0 = std::chrono::steady_clock::now();
+// One pass of the streaming sweep pipeline over `words`: the 27-config
+// oneshot bank and the classifier fed the same chunks. `classifier` is the
+// time of the classifier's own feed and finish calls, timed one by one
+// inside the pass.
+struct PassTime {
+  double pass = 0.0;
+  double classifier = 0.0;
+};
+
+PassTime time_pipeline(std::span<const CacheConfig> configs,
+                       std::span<const std::uint32_t> words) {
+  using Clock = std::chrono::steady_clock;
+  const auto since = [](Clock::time_point t) {
+    return std::chrono::duration<double>(Clock::now() - t).count();
+  };
+  PassTime t;
+  const auto t0 = Clock::now();
   BankAccumulator bank(configs, {}, 1);
-  std::optional<PhaseClassifier> cls;
-  if (classify) cls.emplace(PhaseClassifier::Params{});
+  PhaseClassifier cls(PhaseClassifier::Params{});
   for (std::size_t i = 0; i < words.size(); i += kChunk) {
     const auto chunk = words.subspan(i, std::min(kChunk, words.size() - i));
-    if (cls) cls->feed(chunk);
+    const auto c0 = Clock::now();
+    cls.feed(chunk);
+    t.classifier += since(c0);
     bank.feed(chunk);
   }
-  if (cls) cls->finish();
-  if (bank.stats().size() != configs.size() ||
-      (cls && cls->words_seen() != words.size()))
+  const auto c0 = Clock::now();
+  cls.finish();
+  t.classifier += since(c0);
+  if (bank.stats().size() != configs.size() || cls.words_seen() != words.size())
     fail("streaming pipeline dropped work");
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
+  t.pass = since(t0);
+  return t;
 }
 
 struct OverheadSample {
-  std::vector<double> off, on;      // per pair: bank alone, bank + classifier
-  double classifier_seconds = 0.0;  // best of the pairs, classifier alone
+  // Per pass: the classifier's seconds and the rest of the pass's.
+  std::vector<double> classifier, rest;
+  double classifier_seconds = 0.0;  // best of the passes, classifier alone
 };
 
-// `pairs` interleaved classifier-off/on timings of the pipeline, the leg
-// that runs first alternating from pair to pair so drift and cache warmth
-// fall on both; each pair also times the classifier alone.
+// `passes` timed pipeline passes; after each, the classifier also runs
+// alone over the same chunks for its scan rate.
 OverheadSample time_overhead(std::span<const CacheConfig> configs,
                              std::span<const std::uint32_t> words,
-                             unsigned pairs) {
+                             unsigned passes) {
   OverheadSample s;
-  for (unsigned r = 0; r < pairs; ++r) {
-    const bool off_first = r % 2 == 0;
-    const double first = time_pipeline(configs, words, !off_first);
-    const double second = time_pipeline(configs, words, off_first);
-    s.off.push_back(off_first ? first : second);
-    s.on.push_back(off_first ? second : first);
+  for (unsigned r = 0; r < passes; ++r) {
+    const PassTime t = time_pipeline(configs, words);
+    s.classifier.push_back(t.classifier);
+    s.rest.push_back(t.pass - t.classifier);
 
     const auto t0 = std::chrono::steady_clock::now();
     PhaseClassifier cls({});
@@ -165,22 +177,23 @@ OverheadSample time_overhead(std::span<const CacheConfig> configs,
   return s;
 }
 
-// The median of the pairs' on/off ratios, minus one.
-double median_overhead(const std::vector<double>& on,
-                       const std::vector<double>& off) {
+// The median over the passes of the classifier's seconds over the rest of
+// the pass.
+double median_overhead(const std::vector<double>& classifier,
+                       const std::vector<double>& rest) {
   std::vector<double> ratios;
-  for (std::size_t i = 0; i < on.size(); ++i) ratios.push_back(on[i] / off[i]);
+  for (std::size_t i = 0; i < classifier.size(); ++i)
+    ratios.push_back(classifier[i] / rest[i]);
   std::sort(ratios.begin(), ratios.end());
   const std::size_t n = ratios.size();
-  return (n % 2 ? ratios[n / 2] : (ratios[n / 2 - 1] + ratios[n / 2]) / 2) -
-         1.0;
+  return n % 2 ? ratios[n / 2] : (ratios[n / 2 - 1] + ratios[n / 2]) / 2;
 }
 
 int run(int argc, char** argv) {
   // Local flags first (--reps/--out/--scale); everything else goes to the
   // common sweep parser, which exits with usage on anything it does not
   // know.
-  unsigned reps = 9;  // classifier-off/on pairs per scenario
+  unsigned reps = 9;  // timed pipeline passes per scenario
   unsigned scale = 1;
   std::string out;  // the snapshot is written only when --out is given
   std::vector<char*> rest = {argv[0]};
@@ -214,7 +227,7 @@ int run(int argc, char** argv) {
 
   bench::Snapshot snap("phase_adaptive");
   std::vector<std::string> vs_oracle_names;
-  std::vector<double> pair_off(reps, 0.0), pair_on(reps, 0.0);
+  std::vector<double> pass_classifier(reps, 0.0), pass_rest(reps, 0.0);
   double cls_seconds = 0.0;
   std::uint64_t cls_words = 0;
   std::uint64_t naive_sweeps_total = 0, adaptive_sweeps_total = 0;
@@ -281,15 +294,15 @@ int run(int argc, char** argv) {
     // wall clock is not part of the deterministic stdout contract).
     const OverheadSample ovh = time_overhead(configs, words, reps);
     std::cerr << "[phase-bench] " << sc.name << ": classifier overhead "
-              << fmt_percent(median_overhead(ovh.on, ovh.off), 2)
-              << " (median of " << reps << " pairs), classifier alone "
+              << fmt_percent(median_overhead(ovh.classifier, ovh.rest), 2)
+              << " (median of " << reps << " passes), classifier alone "
               << fmt(static_cast<double>(words.size()) /
                      ovh.classifier_seconds)
               << " words/s\n";
 
     for (unsigned r = 0; r < reps; ++r) {
-      pair_off[r] += ovh.off[r];
-      pair_on[r] += ovh.on[r];
+      pass_classifier[r] += ovh.classifier[r];
+      pass_rest[r] += ovh.rest[r];
     }
     cls_seconds += ovh.classifier_seconds;
     cls_words += words.size();
@@ -317,7 +330,8 @@ int run(int argc, char** argv) {
     vs_oracle_names.push_back(sc.name + ".adaptive_vs_oracle");
   }
 
-  const double overall_overhead = median_overhead(pair_on, pair_off);
+  const double overall_overhead =
+      median_overhead(pass_classifier, pass_rest);
   const double sweep_ratio =
       static_cast<double>(naive_sweeps_total) /
       static_cast<double>(adaptive_sweeps_total);
@@ -330,7 +344,7 @@ int run(int argc, char** argv) {
             << phase_scenarios().size() << " scenarios.\n";
   std::cerr << "[phase-bench] overall classifier overhead "
             << fmt_percent(overall_overhead, 2) << " (median of " << reps
-            << " pairs); classifier "
+            << " passes); classifier "
             << fmt(static_cast<double>(cls_words) / cls_seconds)
             << " words/s\n";
 

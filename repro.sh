@@ -4,7 +4,8 @@
 # at the repository root (the files EXPERIMENTS.md numbers come from).
 #
 #   ./repro.sh           full pipeline (build, all tests, TSan sweep+bank
-#                        threading+stream+serving+chaos+phase tests and
+#                        threading+stream+serving+chaos+phase tests, the
+#                        concurrent scenario builds and
 #                        the kernel-registry race,
 #                        ASan/UBSan fault+trace-reader+bank threading
 #                        +interpreter+crc32+serving+wire+chaos+phase
@@ -16,7 +17,8 @@
 #                        gates, every bench binary)
 #   ./repro.sh --quick   build + the parallel-sweep, streaming and serving
 #                        tests (native, TSan, one chaos campaign; the
-#                        kernel-registry race under TSan) + the
+#                        kernel-registry race and the concurrent scenario
+#                        builds under TSan) + the
 #                        fault-injection, trace-reader (every
 #                        single-byte mutant, a 2 M-record RSS pass),
 #                        replay-equivalence, stack-sweep, bank-threading,
@@ -54,7 +56,7 @@ cmake --build build -j "$(nproc)"
 # sharded N-producer queues and the tuning server (accept thread, reader
 # threads, shard workers, client threads) join them for the same reason.
 cmake -B build-tsan -S . -DSTCACHE_SANITIZE=thread > /dev/null
-cmake --build build-tsan -j "$(nproc)" --target thread_pool_test sweep_runner_test sharded_sweep_test stream_test shard_queue_test serving_test serving_resilience_test phase_test workloads_test
+cmake --build build-tsan -j "$(nproc)" --target thread_pool_test sweep_runner_test sharded_sweep_test stream_test shard_queue_test serving_test serving_resilience_test phase_test phase_mix_test workloads_test
 ./build-tsan/tests/thread_pool_test
 ./build-tsan/tests/sweep_runner_test
 # A threaded bank hands each feed's line-size groups to pool workers that
@@ -78,6 +80,10 @@ RESILIENCE_FILTER=
 # under TSan so the sweep handoff stays clean when the tuner owns the
 # threads.
 ./build-tsan/tests/phase_test
+# A phase scenario captures its kernel sources on one thread each and joins
+# them in plan order; the scenario cases build every scenario that way
+# (about 45 s under TSan).
+./build-tsan/tests/phase_mix_test '--gtest_filter=PhaseScenarioStream.*:PhaseMix.ScenarioCatalogAndDeterminism'
 # find_workload builds a kernel on its first lookup from any thread; eight
 # threads race that first build, which must happen once.
 ./build-tsan/tests/workloads_test --gtest_filter=Workloads.RacingFirstLookupsBuildOneKernel

@@ -34,8 +34,9 @@ void PhaseAdaptiveTuner::feed(std::span<const std::uint32_t> words) {
   if (finished_) fail("PhaseAdaptiveTuner: feed after finish");
   while (!words.empty()) {
     const std::size_t take = static_cast<std::size_t>(std::min<std::uint64_t>(
-        words.size(), params_.classifier.window_words - cur_buf_.size()));
-    cur_buf_.insert(cur_buf_.end(), words.begin(), words.begin() + take);
+        words.size(), params_.classifier.window_words - cur_buf_.words.size()));
+    cur_buf_.words.insert(cur_buf_.words.end(), words.begin(),
+                          words.begin() + take);
     // May complete a window, which fires on_window() synchronously and
     // consumes cur_buf_ (it holds exactly the completed window).
     classifier_.feed(words.first(take));
@@ -46,7 +47,7 @@ void PhaseAdaptiveTuner::feed(std::span<const std::uint32_t> words) {
 PhaseAdaptiveTuner::Buffer PhaseAdaptiveTuner::take_buffer() {
   if (spare_bufs_.empty()) {
     Buffer buf;
-    buf.reserve(params_.classifier.window_words);
+    buf.words.reserve(params_.classifier.window_words);
     return buf;
   }
   Buffer buf = std::move(spare_bufs_.back());
@@ -55,12 +56,13 @@ PhaseAdaptiveTuner::Buffer PhaseAdaptiveTuner::take_buffer() {
 }
 
 void PhaseAdaptiveTuner::recycle(Buffer&& buf) {
-  buf.clear();
+  buf.words.clear();
   spare_bufs_.push_back(std::move(buf));
 }
 
 void PhaseAdaptiveTuner::on_window(const PhaseClassifier::Window& ev) {
   Buffer buf = std::move(cur_buf_);
+  buf.signature = *ev.signature;
   cur_buf_ = take_buffer();
   switch (ev.action) {
     case PhaseClassifier::Action::kContinue:
@@ -89,12 +91,12 @@ void PhaseAdaptiveTuner::on_window(const PhaseClassifier::Window& ev) {
 
 void PhaseAdaptiveTuner::phase_window(Buffer&& buf) {
   ++phase_windows_;
-  whole_accum_.add(buf, 0, whole_prev_);
+  // Each signature's sampling chain starts at its first window.
+  whole_accum_.merge(buf.signature, phase_windows_ == 1);
   if (state_ == State::kWarmup) {
     if (phase_windows_ > params_.key_skip_windows &&
         key_windows_seen_ < params_.key_windows) {
-      // Window buffers start on a window boundary, so offset_mod is 0.
-      key_accum_.add(buf, 0, key_prev_);
+      key_accum_.merge(buf.signature, key_windows_seen_ == 0);
       ++key_windows_seen_;
     }
     warm_bufs_.push_back(std::move(buf));
@@ -102,9 +104,9 @@ void PhaseAdaptiveTuner::phase_window(Buffer&& buf) {
     return;
   }
   if (state_ == State::kSweeping && bank_) {
-    bank_->feed(buf);
-    current_.swept_words += buf.size();
-    swept_words_ += buf.size();
+    bank_->feed(buf.words);
+    current_.swept_words += buf.words.size();
+    swept_words_ += buf.words.size();
     if (++bank_windows_ >= params_.sweep_windows) close_sweep();
   }
   // kLocked: the phase's configuration is chosen; nothing to retain.
@@ -136,9 +138,9 @@ void PhaseAdaptiveTuner::decide() {
   bufs.swap(warm_bufs_);
   for (Buffer& b : bufs) {
     if (bank_) {  // else the sweep filled and closed mid-drain
-      bank_->feed(b);
-      current_.swept_words += b.size();
-      swept_words_ += b.size();
+      bank_->feed(b.words);
+      current_.swept_words += b.words.size();
+      swept_words_ += b.words.size();
       if (++bank_windows_ >= params_.sweep_windows) close_sweep();
     }
     recycle(std::move(b));
@@ -161,9 +163,9 @@ void PhaseAdaptiveTuner::close_sweep() {
 void PhaseAdaptiveTuner::finalize_phase(std::uint64_t end) {
   if (state_ == State::kWarmup) {
     // Phase ended before the key filled: key off whatever it had (all
-    // buffered windows when even the post-skip prefix is empty).
-    if (key_windows_seen_ == 0)
-      for (const Buffer& b : warm_bufs_) key_accum_.add(b, 0, key_prev_);
+    // buffered windows, the whole phase so far, when even the post-skip
+    // prefix is empty).
+    if (key_windows_seen_ == 0) key_accum_ = whole_accum_;
     decide();
   }
   if (state_ == State::kSweeping && bank_) close_sweep();
@@ -183,10 +185,8 @@ void PhaseAdaptiveTuner::start_phase(std::uint64_t begin) {
   phase_windows_ = 0;
   state_ = State::kWarmup;
   key_accum_.reset();
-  key_prev_ = SignatureAccum::kNoPrevBlock;
   key_windows_seen_ = 0;
   whole_accum_.reset();
-  whole_prev_ = SignatureAccum::kNoPrevBlock;
   bank_.reset();
   bank_windows_ = 0;
   warm_bufs_.clear();

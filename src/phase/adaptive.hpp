@@ -21,6 +21,13 @@
 //   locked   — configuration chosen; windows stream through the
 //              classifier only (no buffering beyond the current window).
 //
+// Signatures: the tuner samples no word itself. Each buffered window
+// keeps the classifier's accumulator of it (PhaseClassifier::Window::
+// signature), and the lookup key and the whole-phase signature are merges
+// of those, each chain starting at its first window (the key's first
+// window, the phase's first window): bit for bit what sampling the key
+// windows and the phase's words afresh would give.
+//
 // Determinism: windows close at fixed absolute word offsets and bank
 // stats are bit-identical across --sweep-jobs values and feed slicings, so
 // the timeline (boundaries, verdicts, configs, distances) is byte-identical
@@ -93,7 +100,12 @@ class PhaseAdaptiveTuner {
 
  private:
   enum class State : std::uint8_t { kWarmup, kSweeping, kLocked };
-  using Buffer = std::vector<std::uint32_t>;
+  // One classifier window: its words, and the classifier's accumulator of
+  // them.
+  struct Buffer {
+    std::vector<std::uint32_t> words;
+    SignatureAccum signature;
+  };
 
   void on_window(const PhaseClassifier::Window& ev);
   Buffer take_buffer();
@@ -129,14 +141,12 @@ class PhaseAdaptiveTuner {
   PhaseRecord current_;
   std::uint64_t phase_windows_ = 0;  // windows assigned to this phase
   SignatureAccum key_accum_;
-  std::uint32_t key_prev_ = SignatureAccum::kNoPrevBlock;
   unsigned key_windows_seen_ = 0;
   // Whole-phase signature: when a swept phase closes, it is inserted as a
   // second table key for the same config. Early-window keys drift when a
   // recurring behavior resumes at a different position; the whole-phase
   // average is the stable complement (docs/phases.md).
   SignatureAccum whole_accum_;
-  std::uint32_t whole_prev_ = SignatureAccum::kNoPrevBlock;
   PhaseSignature pending_key_;  // inserted into the table at close_sweep
   std::optional<BankAccumulator> bank_;
   unsigned bank_windows_ = 0;

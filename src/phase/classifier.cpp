@@ -8,6 +8,27 @@
 
 namespace stcache {
 
+namespace {
+
+// Signed log2 delta bucket: 0 = repeat, 1..31 forward strides by
+// magnitude, 32..62 backward. Shape, not location — recurrences of the
+// same behavior at a different address land in the same buckets. So
+// bucket 0 is exactly a delta of 0 and bucket 1 exactly +1. Branchless:
+// the sign of delta is unpredictable on mixed streams and a mispredicting
+// ternary here costs ~2x on the whole hot loop.
+inline unsigned delta_bucket(std::int32_t delta) {
+  const std::uint32_t sign =
+      static_cast<std::uint32_t>(delta >> 31);  // 0 or 0xFFFFFFFF
+  const std::uint32_t mag = (static_cast<std::uint32_t>(delta) ^ sign) - sign;
+  return (sign & 31u) + std::bit_width(mag);
+}
+
+inline std::int32_t block_delta(std::uint32_t block, std::uint32_t prev) {
+  return static_cast<std::int32_t>(block) - static_cast<std::int32_t>(prev);
+}
+
+}  // namespace
+
 void SignatureAccum::add(std::span<const std::uint32_t> words,
                          unsigned offset_mod, std::uint32_t& prev_block) {
   const std::uint32_t* p = words.data();
@@ -26,6 +47,12 @@ void SignatureAccum::add(std::span<const std::uint32_t> words,
     bitmap_[idx >> 6] |= 1ull << (idx & 63);
     prev = block;
     i += kSampleStride;
+  } else if (i < n && sig_.samples == 0) {
+    // This stretch's first sample takes its delta against a sample before
+    // the stretch: remember the bucket, which merge() leaves out at a
+    // chain start. The loop below counts the sample as usual.
+    first_bucket_ = static_cast<std::uint8_t>(
+        delta_bucket(block_delta(p[i] & kPackedBlockMask, prev)));
   }
   for (; i < n; i += kSampleStride) {
     const std::uint32_t w = p[i];
@@ -34,19 +61,8 @@ void SignatureAccum::add(std::span<const std::uint32_t> words,
     writes += w >> 31;
     const std::uint32_t idx = (block * 0x9E3779B9u) >> 20;
     bitmap_[idx >> 6] |= 1ull << (idx & 63);
-    // Signed log2 delta bucket: 0 = repeat, 1..31 forward strides by
-    // magnitude, 32..62 backward. Shape, not location — recurrences of
-    // the same behavior at a different address land in the same buckets.
-    // Branchless: the sign of delta is unpredictable on mixed streams and
-    // a mispredicting ternary here costs ~2x on the whole hot loop.
-    const std::int32_t delta =
-        static_cast<std::int32_t>(block) - static_cast<std::int32_t>(prev);
-    const std::uint32_t sign =
-        static_cast<std::uint32_t>(delta >> 31);  // 0 or 0xFFFFFFFF
-    const std::uint32_t mag =
-        (static_cast<std::uint32_t>(delta) ^ sign) - sign;
-    const unsigned bkt = (sign & 31u) + std::bit_width(mag);
-    ++sig_.buckets[bkt];
+    const std::int32_t delta = block_delta(block, prev);
+    ++sig_.buckets[delta_bucket(delta)];
     seq += (delta == 0) | (delta == 1);
     rep += delta == 0;
     prev = block;
@@ -58,7 +74,8 @@ void SignatureAccum::add(std::span<const std::uint32_t> words,
   prev_block = prev;
 }
 
-void SignatureAccum::merge(const SignatureAccum& other) {
+void SignatureAccum::merge(const SignatureAccum& other, bool chain_start) {
+  const bool empty = sig_.samples == 0;
   sig_.words += other.sig_.words;
   sig_.samples += other.sig_.samples;
   sig_.writes += other.sig_.writes;
@@ -68,11 +85,19 @@ void SignatureAccum::merge(const SignatureAccum& other) {
     sig_.buckets[i] += other.sig_.buckets[i];
   for (std::size_t i = 0; i < bitmap_.size(); ++i)
     bitmap_[i] |= other.bitmap_[i];
+  const std::uint8_t first = other.first_bucket_;
+  if (chain_start && first != kNoBucket) {
+    --sig_.buckets[first];
+    sig_.seq -= first <= 1;
+    sig_.rep -= first == 0;
+  }
+  if (empty) first_bucket_ = chain_start ? kNoBucket : first;
 }
 
 void SignatureAccum::reset() {
   sig_ = PhaseSignature{};
   bitmap_.fill(0);
+  first_bucket_ = kNoBucket;
 }
 
 PhaseSignature SignatureAccum::snapshot() const {
@@ -168,8 +193,9 @@ void PhaseClassifier::complete_window(std::uint64_t window_words) {
   }
   ++windows_;
   window_fill_ = 0;
-  cur_.reset();
+  ev.signature = &cur_;
   if (sink_) sink_(ev);
+  cur_.reset();
 }
 
 }  // namespace stcache

@@ -18,7 +18,10 @@
 // (bench_phase_adaptive gates overhead <= 5%). It therefore samples the
 // stream at a fixed stride on *absolute* word offsets — which also makes
 // every signature invariant to how the stream was sliced into feed() calls
-// (chunked vs. materialized equivalence, tests/phase_test.cpp).
+// (chunked vs. materialized equivalence, tests/phase_test.cpp). The stream
+// is sampled once: each completed window's accumulator goes to the sink,
+// and the adaptive tuner merges those into its phase signatures instead of
+// sampling the words again.
 #pragma once
 
 #include <array>
@@ -54,7 +57,8 @@ double signature_distance(const PhaseSignature& a, const PhaseSignature& b);
 // Streaming signature builder. add() may be called with arbitrary slices;
 // `offset_mod` is (absolute word offset of the slice) % sample_stride and
 // `prev_block` carries the last *sampled* block across slices (pass
-// kNoPrevBlock before the first slice of a stretch).
+// kNoPrevBlock before the first slice of a stretch, which starts a new
+// chain: its first sample has no delta).
 class SignatureAccum {
  public:
   static constexpr std::uint32_t kNoPrevBlock = 0xFFFFFFFFu;
@@ -62,14 +66,26 @@ class SignatureAccum {
 
   void add(std::span<const std::uint32_t> words, unsigned offset_mod,
            std::uint32_t& prev_block);
-  void merge(const SignatureAccum& other);
+  // Fold in `other`, a stretch sampled on the same chain. With
+  // `chain_start`, `other` opens a new chain instead, as add() from
+  // kNoPrevBlock would: the delta of its first sample, taken against the
+  // sample before it, is left out. So chain-start merging the
+  // accumulators of consecutive stretches, then merging each later one
+  // plainly, gives exactly add() over their concatenation from
+  // kNoPrevBlock (tests/phase_test.cpp).
+  void merge(const SignatureAccum& other, bool chain_start = false);
   void reset();
   PhaseSignature snapshot() const;  // fills footprint from the bitmap
   std::uint64_t words() const { return sig_.words; }
 
  private:
+  static constexpr std::uint8_t kNoBucket = 0xFF;
+
   PhaseSignature sig_;                      // footprint filled at snapshot
   std::array<std::uint64_t, 64> bitmap_{};  // 4096-bit hashed footprint
+  // Delta bucket of the stretch's first sample, or kNoBucket when it has
+  // no sample yet or its first sample started a chain.
+  std::uint8_t first_bucket_ = kNoBucket;
 };
 
 class PhaseClassifier {
@@ -97,6 +113,10 @@ class PhaseClassifier {
     // kBoundary: pending windows (including this one) opening the phase.
     unsigned resolved_pending = 0;
     std::uint64_t phase_begin = 0;  // kBoundary: new phase's first word
+    // The window's own accumulator, on the stream's one sampling chain
+    // (its first sample's delta is against the previous window's last
+    // sample). Valid only during the sink call: copy it to keep it.
+    const SignatureAccum* signature = nullptr;
   };
 
   using Sink = std::function<void(const Window&)>;

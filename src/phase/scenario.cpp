@@ -1,5 +1,6 @@
 #include "phase/scenario.hpp"
 
+#include <future>
 #include <initializer_list>
 
 #include "trace/synthetic.hpp"
@@ -41,24 +42,34 @@ PhaseScenarioStream::PhaseScenarioStream(const std::string& name,
   scenario_ = &find_phase_scenario(name);
   const bool instruction = scenario_->instruction;
   constexpr std::uint64_t kKi = 1024;
-  const auto add_kernels = [&](std::initializer_list<const char*> names) {
+  // Every kernel source is captured on its own thread, all at once, while
+  // this thread plans the stream (and generates datamix's parser-like
+  // source). Joining in plan order keeps the sources' order, makes the
+  // build wait for its slowest capture instead of their sum, and lets a
+  // failed capture's exception leave through get(); the futures left
+  // unjoined then wait for their captures as they are destroyed.
+  std::vector<std::future<PagedStream>> captures;
+  const auto capture_kernels = [&](std::initializer_list<const char*> names) {
     for (const char* n : names)
-      captured_.push_back(capture_stream(find_workload(n), instruction));
+      captures.push_back(std::async(std::launch::async, [n, instruction] {
+        return capture_stream(find_workload(n), instruction);
+      }));
   };
   if (scenario_->name == "squarewave") {
-    add_kernels({"crc", "padpcm"});
+    capture_kernels({"crc", "padpcm"});
     plan_ = square_wave_plan(768 * kKi * scale, 24);
   } else if (scenario_->name == "taskset") {
-    add_kernels({"crc", "jpeg", "ucbqsort", "padpcm"});
+    capture_kernels({"crc", "jpeg", "ucbqsort", "padpcm"});
     const std::uint64_t lens[] = {512 * kKi * scale, 768 * kKi * scale,
                                   640 * kKi * scale, 576 * kKi * scale};
-    plan_ = cycle_plan(captured_.size(), lens, 4);
+    plan_ = cycle_plan(captures.size(), lens, 4);
   } else {  // datamix
-    add_kernels({"adpcm", "jpeg", "ucbqsort", "g3fax", "epic"});
+    capture_kernels({"adpcm", "jpeg", "ucbqsort", "g3fax", "epic"});
     parser_like_ = gen_parser_like_packed({});
-    plan_ = interleaved_plan(captured_.size() + 1, 24, 384 * kKi * scale,
+    plan_ = interleaved_plan(captures.size() + 1, 24, 384 * kKi * scale,
                              768 * kKi * scale, 0xC0FFEEULL);
   }
+  for (std::future<PagedStream>& c : captures) captured_.push_back(c.get());
 }
 
 std::vector<std::span<const std::uint32_t>> PhaseScenarioStream::source_spans()

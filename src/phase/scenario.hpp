@@ -6,8 +6,15 @@
 // PhaseScenarioStream keeps just those sources and the plan and streams
 // the scenario as zero-copy slices of the sources, so its footprint is the
 // sources' (6.4-11.6 MB; a `stcache_tune --phases` process peaks at
-// 12.0-17.5 MB RSS) at every scale. Each kernel source is captured alone
-// (capture_stream), so the unused side is never stored.
+// 12.3-18.1 MB RSS) at every scale. Each kernel source is captured alone
+// (capture_stream), so the unused side is never stored, and all of a
+// scenario's kernel sources are captured at once, one thread each, while
+// the constructing thread plans the stream and generates datamix's
+// parser-like source. The captures are joined in plan order: the build
+// waits for its slowest source instead of their sum, the stream is the one
+// a serial build makes (tests/phase_mix_test.cpp pins each scenario's
+// digest), and a failed capture's exception leaves the constructor. Under
+// metrics, the sources' [sim] lines arrive in completion order.
 // build_phase_scenario() materializes the stream with its ground-truth
 // segment list, which is what the oracle in bench_phase_adaptive and the
 // boundary tests judge against.

@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <cstring>
 #include <new>
 #include <utility>
 
@@ -35,6 +36,15 @@ ZeroPages::~ZeroPages() {
 
 void ZeroPages::grow(std::size_t bytes) {
   if (bytes <= bytes_) return;
+#if defined(__SANITIZE_THREAD__)
+  // ThreadSanitizer does not intercept mremap: a moved range would keep the
+  // accesses of the thread that last used those addresses, and this
+  // thread's writes would read as races with them. Under it, grow by a
+  // fresh mapping and a copy, which it sees.
+  ZeroPages bigger(bytes);
+  if (data_) std::memcpy(bigger.data_, data_, bytes_);
+  *this = std::move(bigger);
+#else
   if (!data_) {
     *this = ZeroPages(bytes);
     return;
@@ -44,6 +54,7 @@ void ZeroPages::grow(std::size_t bytes) {
   if (p == MAP_FAILED) throw std::bad_alloc();
   data_ = p;
   bytes_ = bytes;
+#endif
 }
 
 }  // namespace stcache

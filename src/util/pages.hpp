@@ -4,7 +4,8 @@
 // so a buffer sized for the worst case faults in, and keeps resident,
 // only the pages a program touches. grow() extends the mapping in place
 // (mremap), so the bytes already written are never copied and the new
-// tail reads as zero. FastCpu's simulated memory (sim/fast_cpu.hpp) and
+// tail reads as zero (a ThreadSanitizer build copies instead: pages.cpp
+// says why). FastCpu's simulated memory (sim/fast_cpu.hpp) and
 // OneStreamSink's kept stream (trace/stream.hpp) live in one.
 #pragma once
 

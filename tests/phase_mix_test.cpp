@@ -8,7 +8,8 @@
 // resumes, not restarts), and be byte-for-byte reproducible — including
 // the seeded random interleave. The streamed scenario (PhaseScenarioStream,
 // what stcache_tune --phases feeds its tuner) must be that same stream,
-// tune to the same timeline, and hold only its sources in memory.
+// tune to the same timeline, and hold only its sources in memory; each
+// scenario's words are pinned by length and digest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -225,6 +226,40 @@ TEST(PhaseMix, ScenarioCatalogAndDeterminism) {
   EXPECT_EQ(a.segments, b.segments);
   ASSERT_FALSE(a.segments.empty());
   EXPECT_EQ(a.segments.back().end, a.words.size());
+}
+
+// FNV-1a (64-bit) over the words' little-endian bytes.
+std::uint64_t fnv1a(std::span<const std::uint32_t> words) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint32_t w : words) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (w >> (8 * b)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Every scenario's words are pinned, length and digest, as a build that
+// captured its sources one after another made them. The sources are now
+// captured concurrently and must still land in plan order; the test below
+// compares the streamed scenario with the built one, so it cannot see a
+// change both constructors share.
+TEST(PhaseMix, ScenarioWordsArePinned) {
+  const struct {
+    const char* name;
+    std::size_t words;
+    std::uint64_t digest;
+  } cases[] = {
+      {"squarewave", 18'874'368u, 0xe1a4fd75169e3f19ULL},
+      {"taskset", 10'223'616u, 0xac608e1b15950172ULL},
+      {"datamix", 14'880'486u, 0x4cb050646d228301ULL},
+  };
+  for (const auto& c : cases) {
+    const PhaseMixedStream mix = build_phase_scenario(c.name, 1);
+    EXPECT_EQ(mix.words.size(), c.words) << c.name;
+    EXPECT_EQ(fnv1a(mix.words), c.digest) << c.name;
+  }
 }
 
 // The slices of a streamed scenario concatenate to the materialized

@@ -11,6 +11,7 @@
 // verdicts, configs, distances — must be exactly equal, double for double.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "cache/config.hpp"
+#include "cache/packed.hpp"
 #include "core/evaluator.hpp"
 #include "core/heuristic.hpp"
 #include "energy/energy_model.hpp"
@@ -106,6 +108,98 @@ TEST(PhaseSignature, DistanceSeparatesBehaviors) {
   EXPECT_LE(d, 1.0);
   EXPECT_EQ(sa.words, 4 * kWindow);
   EXPECT_EQ(sa.samples, 4 * kWindow / SignatureAccum::kSampleStride);
+}
+
+void expect_same_signature(const PhaseSignature& a, const PhaseSignature& b,
+                           const std::string& what) {
+  EXPECT_EQ(a.words, b.words) << what;
+  EXPECT_EQ(a.samples, b.samples) << what;
+  EXPECT_EQ(a.writes, b.writes) << what;
+  EXPECT_EQ(a.seq, b.seq) << what;
+  EXPECT_EQ(a.rep, b.rep) << what;
+  EXPECT_EQ(a.footprint, b.footprint) << what;
+  EXPECT_EQ(a.buckets, b.buckets) << what;
+}
+
+// add() over words [begin, end) from a fresh chain: the signature as
+// sampling those words afresh gives it.
+PhaseSignature resampled(std::span<const std::uint32_t> words,
+                         std::uint64_t begin, std::uint64_t end) {
+  SignatureAccum acc;
+  std::uint32_t prev = SignatureAccum::kNoPrevBlock;
+  acc.add(words.subspan(begin, end - begin),
+          static_cast<unsigned>(begin % SignatureAccum::kSampleStride), prev);
+  return acc.snapshot();
+}
+
+std::uint64_t bucket_total(const PhaseSignature& s) {
+  std::uint64_t n = 0;
+  for (const std::uint32_t b : s.buckets) n += b;
+  return n;
+}
+
+// Consecutive stretches sampled on one chain, as the classifier samples its
+// windows, merge into exactly add() over their concatenation from a fresh
+// chain when the first is merged as a chain start: its first sample's delta
+// is the one whose predecessor lies outside the concatenation. The
+// stretches are 37, 45 or 53 words, so their starts step by 5 mod 8 and
+// take every offset mod 8; each is fed to add() in pieces of 1 to 7 words,
+// so a stretch's first sample often arrives in a later add() call than its
+// first word. The first sample of stretch k takes a delta of 0, +1, -1, a
+// large forward or backward stride, or +5 from the sample before it, and
+// stretch 0's first sample has no predecessor at all.
+TEST(SignatureAccum, ChainStartMergeEqualsAddOverConcatenation) {
+  constexpr unsigned kStretches = 24;
+  constexpr unsigned kStride = SignatureAccum::kSampleStride;
+  std::vector<std::uint64_t> bounds = {0};
+  for (unsigned k = 0; k < kStretches; ++k)
+    bounds.push_back(bounds.back() + 37 + 8 * (k % 3));
+  Rng rng(5);
+  std::vector<std::uint32_t> words(bounds.back());
+  for (std::uint32_t& w : words)
+    w = ((1u << 24) + static_cast<std::uint32_t>(rng.next_below(1u << 16))) |
+        (rng.next_bool(0.3) ? 0x80000000u : 0u);
+  const std::int32_t deltas[] = {0, 1, -1, 1 << 20, -(1 << 22), 5};
+  for (unsigned k = 1; k < kStretches; ++k) {
+    const std::uint64_t first = (bounds[k] + kStride - 1) / kStride * kStride;
+    const std::uint32_t prev_block = words[first - kStride] & kPackedBlockMask;
+    words[first] = (words[first] & 0x80000000u) |
+                   static_cast<std::uint32_t>(
+                       static_cast<std::int32_t>(prev_block) +
+                       deltas[k % std::size(deltas)]);
+  }
+
+  std::vector<SignatureAccum> stretch(kStretches);
+  std::uint32_t prev = SignatureAccum::kNoPrevBlock;
+  unsigned piece = 0;
+  for (unsigned k = 0; k < kStretches; ++k) {
+    for (std::uint64_t at = bounds[k]; at < bounds[k + 1];) {
+      const std::uint64_t take =
+          std::min<std::uint64_t>(1 + (piece++ * 3) % 7, bounds[k + 1] - at);
+      stretch[k].add(std::span<const std::uint32_t>(words).subspan(at, take),
+                     static_cast<unsigned>(at % kStride), prev);
+      at += take;
+    }
+  }
+
+  for (unsigned a = 0; a < kStretches; ++a) {
+    for (unsigned count = 1; count <= 3 && a + count <= kStretches; ++count) {
+      const std::string what =
+          "stretches " + std::to_string(a) + "+" + std::to_string(count);
+      SignatureAccum chained, plain;
+      for (unsigned k = a; k < a + count; ++k) {
+        chained.merge(stretch[k], k == a);
+        plain.merge(stretch[k]);
+      }
+      const PhaseSignature ref = resampled(words, bounds[a], bounds[a + count]);
+      expect_same_signature(chained.snapshot(), ref, what);
+      // A plain merge keeps that one delta, so the chain start is what
+      // makes the two equal (stretch 0 has no delta to leave out).
+      EXPECT_EQ(bucket_total(plain.snapshot()),
+                bucket_total(ref) + (a > 0 ? 1 : 0))
+          << what;
+    }
+  }
 }
 
 // Boundary oracle: on a square wave whose segments start on window
@@ -298,6 +392,75 @@ TEST(PhaseAdaptiveTuner, DistanceMappingReusesRecurringPhases) {
   EXPECT_EQ(naive.reuses(), 0u);
   EXPECT_EQ(naive.sweeps(), naive_tl.size());
   EXPECT_GT(naive.sweeps(), adaptive.sweeps());
+}
+
+// The tuner builds its table keys from the classifier's window
+// accumulators instead of sampling the words again. Each swept phase files
+// two entries, its key (windows key_skip_windows + 1 .. + key_windows of
+// the phase, or the whole phase when it ended before them) and then its
+// whole-phase signature, and each must equal add() over those words from a
+// fresh chain, field by field. The stream has a one-window blip, two
+// boundaries, and ends in half a window of the other source: a final
+// partial window still pending at finish(), which the tuner folds into the
+// last phase.
+TEST(PhaseAdaptiveTuner, TableKeysEqualResampledWindows) {
+  const std::vector<std::span<const std::uint32_t>> sources = {
+      loop_source(), random_source()};
+  const std::vector<PhaseSegmentSpec> plan = {
+      {0, 6 * kWindow}, {1, kWindow},     {0, 5 * kWindow},
+      {1, 6 * kWindow}, {0, 6 * kWindow}, {1, kWindow / 2}};
+  const PhaseMixedStream mix = compose_phases(sources, plan);
+  const std::span<const std::uint32_t> words(mix.words);
+
+  WindowLog log;
+  PhaseClassifier cls(test_params(), log.sink());
+  cls.feed(words);
+  cls.finish();
+  ASSERT_GE(cls.blips(), 1u);
+  ASSERT_GE(cls.boundaries(), 2u);
+  ASSERT_NE(words.size() % kWindow, 0u);
+  ASSERT_EQ(log.events.back().action, PhaseClassifier::Action::kPending);
+
+  for (const bool mapping : {true, false}) {
+    for (const unsigned skip : {0u, 1u}) {
+      PhaseTunerParams params = tuner_params(mapping);
+      params.key_skip_windows = skip;
+      PhaseAdaptiveTuner tuner(all_configs(), test_model(), params);
+      std::span<const std::uint32_t> rest = words;
+      while (!rest.empty()) {
+        const std::size_t take = std::min<std::size_t>(3001, rest.size());
+        tuner.feed(rest.first(take));
+        rest = rest.subspan(take);
+      }
+      const std::vector<PhaseRecord> timeline = tuner.finish();
+      const std::vector<PhaseTableEntry>& entries = tuner.table().entries();
+      unsigned swept = 0;
+      for (std::size_t i = 0; i < timeline.size(); ++i) {
+        const PhaseRecord& r = timeline[i];
+        if (r.verdict != PhaseVerdict::kSwept) continue;
+        const std::string what = std::string(mapping ? "adaptive" : "naive") +
+                                 " skip " + std::to_string(skip) + " phase " +
+                                 std::to_string(i);
+        std::vector<const PhaseTableEntry*> filed;
+        for (const PhaseTableEntry& e : entries)
+          if (e.phase == i) filed.push_back(&e);
+        ASSERT_EQ(filed.size(), 2u) << what;
+        const std::uint64_t key_begin = r.begin + skip * kWindow;
+        const PhaseSignature key =
+            key_begin < r.end
+                ? resampled(words, key_begin,
+                            std::min(r.end, key_begin +
+                                                params.key_windows * kWindow))
+                : resampled(words, r.begin, r.end);
+        expect_same_signature(filed[0]->key, key, what + " key");
+        expect_same_signature(filed[1]->key, resampled(words, r.begin, r.end),
+                              what + " whole phase");
+        ++swept;
+      }
+      EXPECT_EQ(entries.size(), 2u * swept);
+      EXPECT_GE(swept, mapping ? 2u : 3u);
+    }
+  }
 }
 
 TEST(PhaseTable, NearestIsDeterministicAndReuseCounts) {

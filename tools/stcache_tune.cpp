@@ -38,7 +38,11 @@
 // and the Fig. 6 verdict. The composed stream is never built: the tuner is
 // fed zero-copy slices of the scenario's captured sources, so memory is
 // the sources' 6.4-11.6 MB at any --scale, not 4 B per stream word (the
-// process peaks at 12.0-17.5 MB RSS over the three scenarios). --naive
+// process peaks at 12.3-18.1 MB RSS over the three scenarios). The
+// scenario's kernel sources are captured concurrently, one thread each
+// (src/phase/scenario.hpp), so under --metrics their [sim] lines arrive in
+// completion order; the tuner samples each word once, in its classifier
+// (src/phase/adaptive.hpp). --naive
 // disables distance mapping (every phase re-sweeps) as the comparison
 // baseline; --scale N multiplies every segment length. The timeline
 // depends only on bank stats and fixed-offset window signatures, so stdout
